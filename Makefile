@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck lint lint-tests lint-sarif test bench bench-smoke bench-check churn-bench fuzz-smoke race cover ci determinism report-smoke server-smoke obs-smoke paper examples clean
+.PHONY: all build vet fmtcheck lint lint-tests lint-sarif test bench bench-smoke bench-check churn-bench fuzz-smoke race cover ci determinism report-smoke server-smoke obs-smoke paper-smoke paper examples clean
 
 all: build vet test
 
@@ -103,7 +103,7 @@ fuzz-smoke:
 # Everything CI runs, locally. The workflow (.github/workflows/ci.yml)
 # calls these same targets step by step, so this list is the single
 # source of truth for what a green build means.
-ci: build vet fmtcheck lint lint-sarif test race bench-smoke bench-check churn-bench fuzz-smoke determinism report-smoke server-smoke obs-smoke
+ci: build vet fmtcheck lint lint-sarif test race bench-smoke bench-check churn-bench fuzz-smoke determinism report-smoke server-smoke obs-smoke paper-smoke
 
 race:
 	$(GO) test -race ./...
@@ -192,6 +192,23 @@ obs-smoke:
 	VC2M_SPANS_FILE=$$tmp/spans.json VC2M_UPDATE_GOLDEN=$(UPDATE_GOLDEN) \
 		$(GO) test -count=1 -run '^TestSpanGoldenStages$$' ./internal/obs && \
 	echo "obs-smoke: span stage set matches golden"
+
+# Paper smoke: vc2m-paper -only at work. The Fig. 2a sweep at paper scale
+# (~6 s on 2 CPUs) must reproduce the committed results/fig2a.csv byte for
+# byte; a reduced fig4,tables,sec33 run must write every file those stages
+# own (fig4 runs the fig2a sweep it is derived from).
+paper-smoke:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/bin/ ./cmd/vc2m-paper || exit 1; \
+	{ $$tmp/bin/vc2m-paper -only fig2a -out $$tmp/paper && \
+	  cmp $$tmp/paper/fig2a.csv results/fig2a.csv; } || \
+		{ echo "paper-smoke: fig2a sweep failed or diverged from results/fig2a.csv"; exit 1; }; \
+	$$tmp/bin/vc2m-paper -only fig4,tables,sec33 -tasksets 2 -step 0.5 -out $$tmp/small || exit 1; \
+	for f in fig2a.csv fig2a.txt fig4.csv fig4.txt table1.csv tables12.txt \
+	         sec33.csv sec33.txt sec33-profiles.txt; do \
+		test -s $$tmp/small/$$f || { echo "paper-smoke: $$f not written"; exit 1; }; \
+	done; \
+	echo "paper-smoke: fig2a.csv byte-identical at paper scale; fig4, tables and sec33 wrote their files"
 
 cover:
 	$(GO) test -cover ./...

@@ -37,22 +37,17 @@ import (
 // budget is infeasible even under the full allocation (C,B), in which case
 // the VCPU can never be scheduled.
 func ExistingVCPU(tasks []*model.Task, index int, plat model.Platform) (*model.VCPU, bool, error) {
-	return ExistingVCPUMetered(tasks, index, plat, nil)
+	return ExistingVCPUProv(tasks, index, plat, nil, nil)
 }
 
-// ExistingVCPUMetered is ExistingVCPU with search-effort accounting: the
-// dbf/sbf checkpoint evaluations and minimum-budget searches behind the
-// VCPU's budget table are recorded on rec (nil-safe). These counters are
-// what makes the existing CSA's running-time premium over the overhead-free
-// analyses (Figure 4) attributable: every (c,b) allocation triggers a full
-// demand evaluation plus a bisection search, while Theorems 1 and 2 need
-// neither.
-func ExistingVCPUMetered(tasks []*model.Task, index int, plat model.Platform, rec *metrics.Recorder) (*model.VCPU, bool, error) {
-	return ExistingVCPUProv(tasks, index, plat, rec, nil)
-}
-
-// ExistingVCPUProv is ExistingVCPUMetered with decision provenance: when
-// prov is non-nil it records the derived interface — the chosen period
+// ExistingVCPUProv is ExistingVCPU with search-effort accounting and
+// decision provenance. The dbf/sbf checkpoint evaluations and
+// minimum-budget searches behind the VCPU's budget table are recorded on
+// rec (nil-safe). These counters are what makes the existing CSA's
+// running-time premium over the overhead-free analyses (Figure 4)
+// attributable: every (c,b) allocation triggers a full demand evaluation
+// plus a bisection search, while Theorems 1 and 2 need neither. When prov
+// is non-nil it records the derived interface — the chosen period
 // rule, the budget at the full and minimum allocations, how many (c,b)
 // candidates were feasible, and the decisive demand checkpoint (the time
 // point with the least supply slack when feasible, the one with the

@@ -1,5 +1,5 @@
 // Package profutil wires the standard -cpuprofile/-memprofile flags into
-// the long-running commands (vc2m-paper, vc2m-sched, vc2m-sim). It exists
+// the long-running commands (vc2m-paper, vc2m-sim). It exists
 // so each main wires profiling in two lines instead of repeating the
 // runtime/pprof boilerplate.
 package profutil

@@ -29,7 +29,7 @@ const (
 	// vc2m-sim path.
 	KindRun = "run"
 	// KindSweep runs a schedulability sweep over generated tasksets — the
-	// vc2m-paper / vc2m-sched path.
+	// vc2m-paper path.
 	KindSweep = "sweep"
 	// KindChurn applies a sequence of VM arrival/departure deltas to a
 	// finished base run's allocation through the incremental warm-start
@@ -66,7 +66,7 @@ type SubmitRequest struct {
 	// hypervisor simulator for this horizon (KindRun).
 	SimulateMs float64 `json:"simulate_ms,omitempty"`
 	// Metrics attaches a search-effort recorder; the report then carries
-	// the deterministic counter subset.
+	// the deterministic counter subset (KindRun).
 	Metrics bool `json:"metrics,omitempty"`
 
 	// Sweep parameterizes a KindSweep submission.
@@ -164,6 +164,12 @@ func (r *SubmitRequest) Validate() error {
 		}
 		if r.Churn != nil {
 			return fmt.Errorf("server: churn spec on a %q submission", KindSweep)
+		}
+		if r.SimulateMs != 0 { //vc2m:floateq zero is the field's never-set sentinel, not a computed value
+			return fmt.Errorf("server: simulate_ms on a %q submission", KindSweep)
+		}
+		if r.Metrics {
+			return fmt.Errorf("server: metrics on a %q submission", KindSweep)
 		}
 	case KindChurn:
 		if r.Churn == nil {
@@ -264,8 +270,7 @@ type HealthStatus struct {
 }
 
 // ServiceMetrics is the wire form of GET /api/metrics (formerly
-// GET /metrics, which now serves the Prometheus text exposition; the old
-// path still answers ?format=json with a Deprecation header): registry
+// GET /metrics, which now serves the Prometheus text exposition): registry
 // and worker pool gauges. All values are counters or instantaneous queue
 // depths — no wall-clock data, like every document this service produces.
 type ServiceMetrics struct {

@@ -163,13 +163,18 @@ func TestMetricsJSONMoveAndDeprecationAlias(t *testing.T) {
 		t.Fatalf("GET /api/metrics: %d %s", resp.StatusCode, body)
 	}
 
-	// Deprecation alias on the old path.
+	// The retired ?format=json alias no longer switches the old path to
+	// JSON: it serves the Prometheus text exposition like plain /metrics.
 	resp, body = get(t, url+"/metrics?format=json")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"queue_cap"`) {
+	if resp.StatusCode != http.StatusOK || strings.Contains(body, `"queue_cap"`) ||
+		!strings.Contains(body, "# TYPE vc2m_runs_total") {
 		t.Fatalf("GET /metrics?format=json: %d %s", resp.StatusCode, body)
 	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Error("alias response lacks the Deprecation header")
+	if ct := resp.Header.Get("Content-Type"); ct != obs.PromContentType {
+		t.Errorf("GET /metrics?format=json Content-Type %q, want %q", ct, obs.PromContentType)
+	}
+	if resp.Header.Get("Deprecation") != "" {
+		t.Error("retired alias still sends a Deprecation header")
 	}
 }
 

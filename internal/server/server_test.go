@@ -82,6 +82,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "Z"}},               // bad platform
 		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A", Dist: "nope"}}, // bad dist
 		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A"}, System: &model.System{}},
+		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A"}, Metrics: true},    // sweeps record no metrics
+		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A"}, SimulateMs: 1100}, // sweeps never simulate
 	}
 	for i, req := range cases {
 		if _, err := s.Submit(req); err == nil {
