@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck lint lint-tests lint-sarif test bench bench-smoke bench-check churn-bench fuzz-smoke race cover ci determinism report-smoke server-smoke obs-smoke paper-smoke paper examples clean
+.PHONY: all build vet fmtcheck lint lint-tests lint-sarif test bench bench-smoke bench-check churn-bench fuzz-smoke race cover ci determinism report-smoke server-smoke obs-smoke paper-smoke perfbench-check paper examples clean
 
 all: build vet test
 
@@ -103,7 +103,7 @@ fuzz-smoke:
 # Everything CI runs, locally. The workflow (.github/workflows/ci.yml)
 # calls these same targets step by step, so this list is the single
 # source of truth for what a green build means.
-ci: build vet fmtcheck lint lint-sarif test race bench-smoke bench-check churn-bench fuzz-smoke determinism report-smoke server-smoke obs-smoke paper-smoke
+ci: build vet fmtcheck lint lint-sarif test race bench-smoke bench-check churn-bench fuzz-smoke determinism report-smoke server-smoke obs-smoke paper-smoke perfbench-check
 
 race:
 	$(GO) test -race ./...
@@ -209,6 +209,13 @@ paper-smoke:
 		test -s $$tmp/small/$$f || { echo "paper-smoke: $$f not written"; exit 1; }; \
 	done; \
 	echo "paper-smoke: fig2a.csv byte-identical at paper scale; fig4, tables and sec33 wrote their files"
+
+# Perfbench check: perfbench/ is a nested module that the root
+# `go test ./...` skips, so vet and test it on its own — a change to the
+# root API it compiles against (client, server, alloc, csa, hypersim)
+# fails here instead of at the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 cover:
 	$(GO) test -cover ./...

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"vc2m/internal/obs"
-	"vc2m/internal/provenance"
 	"vc2m/internal/report"
 	"vc2m/internal/server"
 )
@@ -90,14 +89,20 @@ func traceContext(ctx context.Context) obs.TraceContext {
 	return obs.NewTraceContext()
 }
 
+// httpError is a non-2xx answer from the server. Wait ends on one at
+// once: only transport drops and early stream ends are worth a reconnect.
+type httpError struct{ msg string }
+
+func (e *httpError) Error() string { return e.msg }
+
 // apiError turns a non-2xx response into an error, preferring the
 // server's structured message.
 func apiError(code int, body []byte) error {
 	var er server.ErrorResponse
 	if err := json.Unmarshal(body, &er); err == nil && er.Error != "" {
-		return fmt.Errorf("server: %s (HTTP %d)", er.Error, code)
+		return &httpError{fmt.Sprintf("server: %s (HTTP %d)", er.Error, code)}
 	}
-	return fmt.Errorf("server: HTTP %d: %s", code, bytes.TrimSpace(body))
+	return &httpError{fmt.Sprintf("server: HTTP %d: %s", code, bytes.TrimSpace(body))}
 }
 
 // Health checks liveness.
@@ -138,17 +143,13 @@ func (c *Client) Run(ctx context.Context, id string) (server.RunStatus, error) {
 // follows the run's SSE lifecycle stream (/v1/runs/{id}/events) — the
 // server closes it at the terminal event, so waiting costs no polling —
 // and reconnects with Last-Event-ID across connection drops and server
-// restarts. When the server does not speak SSE (an older release, an
-// intermediary stripping streams), Wait falls back to the blocking status
-// endpoint. Either way the returned status is re-read from /v1/runs/{id},
-// the authoritative source.
+// restarts. An HTTP error (an unknown run's 404, say) ends the wait at
+// once. The returned status is re-read from /v1/runs/{id}, the
+// authoritative source.
 func (c *Client) Wait(ctx context.Context, id string) (server.RunStatus, error) {
 	var lastSeq uint64
 	failures := 0
 	for {
-		if err := ctx.Err(); err != nil {
-			return server.RunStatus{}, err
-		}
 		terminal := false
 		seq, err := c.streamSSE(ctx, "/v1/runs/"+id+"/events", lastSeq, func(ev server.RunEvent) error {
 			if ev.Terminal() {
@@ -156,26 +157,28 @@ func (c *Client) Wait(ctx context.Context, id string) (server.RunStatus, error) 
 			}
 			return nil
 		})
+		if terminal {
+			return c.Run(ctx, id)
+		}
+		var he *httpError
+		switch {
+		case ctx.Err() != nil:
+			return server.RunStatus{}, ctx.Err()
+		case errors.As(err, &he):
+			return server.RunStatus{}, err
+		case err == nil:
+			err = fmt.Errorf("client: run %s event stream ended before its terminal event", id)
+		}
 		if seq > lastSeq {
 			lastSeq = seq
 			failures = 0 // progress: the stream is real, keep trusting it
 		}
-		if terminal {
-			return c.waitPoll(ctx, id)
-		}
-		switch {
-		case ctx.Err() != nil:
-			return server.RunStatus{}, ctx.Err()
-		case errors.Is(err, errSSEUnsupported):
-			return c.waitPoll(ctx, id)
-		}
 		// Transport drop or clean close without a terminal event (e.g. the
 		// server drained or restarted mid-stream): reconnect with
-		// Last-Event-ID after a short pause. Persistent failure falls back
-		// to the blocking poll, which reports connection errors properly.
+		// Last-Event-ID after a short pause.
 		failures++
 		if failures >= waitStreamMaxFailures {
-			return c.waitPoll(ctx, id)
+			return server.RunStatus{}, err
 		}
 		t := time.NewTimer(waitReconnectDelay)
 		select {
@@ -192,27 +195,9 @@ const (
 	// hammer a restarting server, short enough to resume promptly.
 	waitReconnectDelay = 200 * time.Millisecond
 	// waitStreamMaxFailures is how many consecutive no-progress stream
-	// attempts Wait tolerates before falling back to the blocking poll.
+	// attempts Wait makes before it returns the last stream error.
 	waitStreamMaxFailures = 10
 )
-
-// waitPoll is the pre-SSE wait path: the server's blocking status
-// endpoint, looped until the run is terminal.
-func (c *Client) waitPoll(ctx context.Context, id string) (server.RunStatus, error) {
-	for {
-		var st server.RunStatus
-		if err := c.do(ctx, http.MethodGet, "/v1/runs/"+id+"?wait=1", nil, &st); err != nil {
-			return st, err
-		}
-		switch st.State {
-		case server.StateDone, server.StateFailed, server.StateCanceled:
-			return st, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-	}
-}
 
 // StreamEvents follows the server's fleet-wide run-lifecycle stream
 // (GET /v1/events), invoking fn for every event until the stream ends, fn
@@ -231,11 +216,6 @@ func (c *Client) StreamEvents(ctx context.Context, lastEventID uint64, fn func(s
 func (c *Client) StreamRunEvents(ctx context.Context, id string, lastEventID uint64, fn func(server.RunEvent) error) (uint64, error) {
 	return c.streamSSE(ctx, "/v1/runs/"+id+"/events", lastEventID, fn)
 }
-
-// errSSEUnsupported marks a server (or intermediary) that answered the
-// events endpoint with something other than an event stream; callers fall
-// back to polling.
-var errSSEUnsupported = errors.New("client: server does not serve SSE events")
 
 // streamSSE runs one SSE connection: it parses id/event/data frames,
 // unmarshals run events and dispatches them to fn. It returns the highest
@@ -256,14 +236,12 @@ func (c *Client) streamSSE(ctx context.Context, path string, lastEventID uint64,
 		return lastEventID, err
 	}
 	defer resp.Body.Close() //vc2m:closeflush response body close errors are uninformative by contract
-	if resp.StatusCode != http.StatusOK ||
-		!strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
+	if resp.StatusCode != http.StatusOK {
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 8*1024))
-		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotFound ||
-			resp.StatusCode == http.StatusNotImplemented || resp.StatusCode == http.StatusMethodNotAllowed {
-			return lastEventID, fmt.Errorf("%w: %s", errSSEUnsupported, resp.Status)
-		}
 		return lastEventID, apiError(resp.StatusCode, data)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
+		return lastEventID, &httpError{fmt.Sprintf("server: %s answered with %q, not an event stream", path, ct)}
 	}
 
 	maxSeq := lastEventID
@@ -365,42 +343,4 @@ func (c *Client) Report(ctx context.Context, id string) (*report.Document, error
 		return nil, err
 	}
 	return &doc, nil
-}
-
-// StreamProvenance follows the run's live decision log, invoking fn for
-// every decision until the run finishes, fn returns an error, or ctx is
-// canceled. The transport client must not impose an overall timeout
-// shorter than the run (pass a dedicated http.Client to New for long
-// streams).
-func (c *Client) StreamProvenance(ctx context.Context, id string, fn func(provenance.Decision) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/runs/"+id+"/provenance", nil)
-	if err != nil {
-		return err
-	}
-	obs.InjectTraceContext(req, traceContext(ctx))
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close() //vc2m:closeflush response body close errors are uninformative by contract
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		return apiError(resp.StatusCode, data)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var d provenance.Decision
-		if err := json.Unmarshal(line, &d); err != nil {
-			return fmt.Errorf("client: bad provenance line: %w", err)
-		}
-		if err := fn(d); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
 }

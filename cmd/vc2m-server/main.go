@@ -1,8 +1,8 @@
 // vc2m-server is the vC2M allocation daemon: a long-running HTTP/JSON
 // service that accepts taskset/VM/platform specs, runs allocations
 // concurrently on a bounded worker pool, and serves each run's report
-// document and live provenance stream. See internal/server for the API
-// and package client for the typed Go client.
+// document and live lifecycle event stream (SSE). See internal/server for
+// the API and package client for the typed Go client.
 //
 // Examples:
 //

@@ -4,8 +4,6 @@ import (
 	"context"
 
 	"vc2m/internal/metrics"
-	"vc2m/internal/obs"
-	"vc2m/internal/provenance"
 )
 
 // Counter and timer names recorded by the allocators when a recorder is
@@ -66,25 +64,10 @@ type MetricsSetter interface {
 	SetMetrics(*metrics.Recorder)
 }
 
-// ProvenanceSetter is implemented by allocators that can record their
-// decision stream (see package provenance). Like MetricsSetter, it lets
-// harnesses attach a recorder without widening the Allocator interface.
-type ProvenanceSetter interface {
-	SetProvenance(*provenance.Recorder)
-}
-
 // ContextSetter is implemented by allocators whose search polls a
 // cancellation context (see Heuristic.Ctx). Harnesses and the allocation
 // server use it to make long searches abortable without widening the
 // Allocator interface.
 type ContextSetter interface {
 	SetContext(context.Context)
-}
-
-// SpanSetter is implemented by allocators that open wall-clock stage
-// spans under a parent span (see Heuristic.Span and package obs).
-// Harnesses and the allocation server use it to attach a span without
-// widening the Allocator interface.
-type SpanSetter interface {
-	SetSpan(*obs.Span)
 }

@@ -61,14 +61,8 @@ func (h *Heuristic) Name() string { return "Heuristic (" + h.Mode.String() + ")"
 // SetMetrics implements MetricsSetter.
 func (h *Heuristic) SetMetrics(r *metrics.Recorder) { h.Metrics = r }
 
-// SetProvenance implements ProvenanceSetter.
-func (h *Heuristic) SetProvenance(p *provenance.Recorder) { h.Provenance = p }
-
 // SetContext implements ContextSetter.
 func (h *Heuristic) SetContext(ctx context.Context) { h.Ctx = ctx }
-
-// SetSpan implements SpanSetter.
-func (h *Heuristic) SetSpan(sp *obs.Span) { h.Span = sp }
 
 // Allocate implements Allocator. A nil RNG falls back to a fixed seed, so
 // the call is deterministic either way.
@@ -148,9 +142,6 @@ func (EvenlyPartition) Name() string { return "Evenly-partition (overhead-free C
 // SetMetrics implements MetricsSetter.
 func (e *EvenlyPartition) SetMetrics(r *metrics.Recorder) { e.Metrics = r }
 
-// SetProvenance implements ProvenanceSetter.
-func (e *EvenlyPartition) SetProvenance(p *provenance.Recorder) { e.Provenance = p }
-
 // Allocate implements Allocator.
 func (e EvenlyPartition) Allocate(sys *model.System, _ *rngutil.RNG) (*model.Allocation, error) {
 	e.Metrics.Inc(MetricAllocCalls)
@@ -176,9 +167,6 @@ func (Baseline) Name() string { return "Baseline (existing CSA)" }
 
 // SetMetrics implements MetricsSetter.
 func (b *Baseline) SetMetrics(r *metrics.Recorder) { b.Metrics = r }
-
-// SetProvenance implements ProvenanceSetter.
-func (b *Baseline) SetProvenance(p *provenance.Recorder) { b.Provenance = p }
 
 // Allocate implements Allocator.
 func (b Baseline) Allocate(sys *model.System, _ *rngutil.RNG) (*model.Allocation, error) {

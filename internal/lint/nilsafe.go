@@ -26,7 +26,7 @@ type HookSpec struct {
 
 // DefaultHooks are the repo's registered instrumentation hooks: every
 // trace.Sink and provenance.Sink implementation (including unexported
-// ones like the allocation server's pubSub broadcast sink), the
+// ones like the allocation server's stageSink), the
 // metrics.Recorder, the provenance.Recorder, the shared trace.LineWriter
 // they stream through, and the observability layer's obs.Span and
 // obs.Logger handles. Their documented contract is that a nil receiver is

@@ -77,9 +77,9 @@ func (ValueSink) Record(ev trace.Event) {
 	_ = ev
 }
 
-// provSink mirrors the allocation server's unexported pubSub broadcast
-// sink: unexported types implementing provenance.Sink are hooks too, so
-// the server's live-stream wakeup path keeps its nil-receiver contract.
+// provSink mirrors the allocation server's unexported stageSink:
+// unexported types implementing provenance.Sink are hooks too, so the
+// server's stage-event path keeps its nil-receiver contract.
 type provSink struct {
 	n int
 }

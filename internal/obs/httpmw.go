@@ -128,7 +128,7 @@ func Middleware(next http.Handler, logger *Logger, m *HTTPMetrics, route func(*h
 
 // statusWriter captures the response status and byte count while
 // preserving the http.Flusher capability of the underlying writer, which
-// the provenance streaming endpoint depends on.
+// the SSE event streams depend on.
 type statusWriter struct {
 	http.ResponseWriter
 	status int

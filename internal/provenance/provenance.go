@@ -212,25 +212,6 @@ func (r *Recorder) Decisions() []Decision {
 	return append([]Decision(nil), r.decisions...)
 }
 
-// DecisionsFrom returns a copy of the stream from sequence n on (nil when
-// nothing new). Incremental readers — the allocation server's live
-// provenance stream — use it to drain only what they have not yet seen
-// instead of re-copying the whole stream on every wakeup.
-func (r *Recorder) DecisionsFrom(n int) []Decision {
-	if r == nil {
-		return nil
-	}
-	if n < 0 {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n >= len(r.decisions) {
-		return nil
-	}
-	return append([]Decision(nil), r.decisions[n:]...)
-}
-
 // Reset discards everything recorded so far; sequence numbers restart at 0.
 func (r *Recorder) Reset() {
 	if r == nil {

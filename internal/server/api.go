@@ -2,8 +2,8 @@
 // HTTP/JSON daemon that accepts taskset/VM/platform specs, runs
 // allocations concurrently through the vc2m facade on a bounded worker
 // pool, tracks them in a run registry keyed by deterministic run IDs, and
-// serves each run's schema-versioned report document and live provenance
-// decision stream. cmd/vc2m-server is the daemon; package client is the
+// serves each run's schema-versioned report document and live lifecycle
+// event stream (SSE). cmd/vc2m-server is the daemon; package client is the
 // typed Go client; vc2m-sim and vc2m-paper gain -server modes that submit
 // here instead of running in-process.
 //

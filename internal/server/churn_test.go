@@ -174,14 +174,15 @@ func TestChurnLifecycle(t *testing.T) {
 	if st.Schedulable == nil || !*st.Schedulable {
 		t.Fatalf("done churn run not marked schedulable: %+v", st)
 	}
+	churnDoc, err := c.Report(ctx, churn.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sawIncremental := false
-	if err := c.StreamProvenance(ctx, churn.ID, func(d provenance.Decision) error {
+	for _, d := range churnDoc.Decisions {
 		if d.Stage == provenance.StageIncremental {
 			sawIncremental = true
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 	if !sawIncremental {
 		t.Error("churn run recorded no incremental-stage decisions")

@@ -20,7 +20,8 @@ const (
 	EventQueued = "queued"
 	// EventStarted: a worker picked the run up and began executing.
 	EventStarted = "started"
-	// EventStage: the allocator pipeline entered a new provenance stage.
+	// EventStage: the allocator pipeline entered a provenance stage for
+	// the first time in this run (at most once per stage).
 	EventStage = "stage"
 	// EventFinished: the run reached a terminal state (done, failed or
 	// canceled). Done-but-rejected allocations emit EventRejected instead.

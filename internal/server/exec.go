@@ -81,11 +81,14 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 	s.om.runFinished(s.log, run, tr, elapsed, s.cfg.SlowRun)
 }
 
-// finishRun publishes the run's terminal lifecycle event and then records
-// the terminal state. Publish-before-finish is deliberate: the event is in
-// the bus ring, on every subscriber channel and retained on the run before
-// Done() closes, so an observer woken by Done() can always replay it.
+// finishRun records the run's terminal state, publishes its terminal
+// lifecycle event and only then closes Done(). The order is deliberate: a
+// client re-reading the status on the terminal event finds it terminal,
+// and the event is in the bus ring, on every subscriber channel and
+// retained on the run before Done() closes, so an observer woken by Done()
+// can always replay it.
 func (s *Server) finishRun(run *Run, state State, doc *report.Document, docJSON []byte, errMsg string) {
+	run.setResult(state, doc, docJSON, errMsg)
 	ev := RunEvent{
 		Type: EventFinished, Run: run.ID(), Kind: run.kind, State: state,
 		TraceID: run.TraceContext().TraceID, Error: errMsg, Decisions: run.prov.Len(),
@@ -95,8 +98,7 @@ func (s *Server) finishRun(run *Run, state State, doc *report.Document, docJSON 
 		// event type so dashboards can track admit/reject rates directly.
 		ev.Type = EventRejected
 	}
-	run.setTerminalEvent(s.events.publish(ev))
-	run.finish(state, doc, docJSON, errMsg)
+	run.finish(s.events.publish(ev))
 }
 
 // executeRun is the KindRun path: allocate one system, optionally

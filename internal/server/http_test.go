@@ -1,7 +1,7 @@
 package server_test
 
-// HTTP-level tests: the full submit → poll → fetch report → stream
-// provenance loop over httptest, using the typed client — and the golden
+// HTTP-level tests: the full submit → wait → fetch report loop over
+// httptest, using the typed client — and the golden
 // byte-identity check between a served report and the same run executed
 // in-process through the facade.
 
@@ -17,7 +17,6 @@ import (
 	"vc2m"
 	"vc2m/client"
 	"vc2m/internal/model"
-	"vc2m/internal/provenance"
 	"vc2m/internal/report"
 	"vc2m/internal/server"
 	"vc2m/internal/workload"
@@ -97,21 +96,15 @@ func TestEndpointLoop(t *testing.T) {
 		t.Fatal("simulated run has no sim section")
 	}
 
-	// The finished stream replays every decision, in sequence order.
-	var streamed []provenance.Decision
-	if err := c.StreamProvenance(ctx, sub.ID, func(d provenance.Decision) error {
-		streamed = append(streamed, d)
-		return nil
-	}); err != nil {
-		t.Fatalf("stream: %v", err)
-	}
-	if len(streamed) != len(doc.Decisions) {
-		t.Fatalf("streamed %d decisions, report has %d", len(streamed), len(doc.Decisions))
-	}
-	for i, d := range streamed {
+	// The report carries every decision, in sequence order, and the
+	// status counts exactly those.
+	for i, d := range doc.Decisions {
 		if d.Seq != i {
 			t.Fatalf("decision %d has seq %d", i, d.Seq)
 		}
+	}
+	if len(doc.Decisions) == 0 || st.Decisions != len(doc.Decisions) {
+		t.Fatalf("status counts %d decisions, report has %d", st.Decisions, len(doc.Decisions))
 	}
 
 	runs, err := c.Runs(ctx)
@@ -125,33 +118,6 @@ func TestEndpointLoop(t *testing.T) {
 
 	if _, err := c.Run(ctx, "r9999"); err == nil {
 		t.Error("unknown run ID did not 404")
-	}
-}
-
-func TestLiveProvenanceStream(t *testing.T) {
-	// Attach the stream while the run is still queued: the reader must
-	// follow the live log and terminate when the run does.
-	s, c := startHTTP(t, server.Config{Workers: 1})
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-
-	run, err := s.Submit(submitReq(5, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	if err := c.StreamProvenance(ctx, run.ID(), func(provenance.Decision) error {
-		count++
-		return nil
-	}); err != nil {
-		t.Fatalf("stream: %v", err)
-	}
-	st, err := c.Wait(ctx, run.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != st.Decisions || count == 0 {
-		t.Fatalf("streamed %d decisions live, status says %d", count, st.Decisions)
 	}
 }
 

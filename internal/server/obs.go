@@ -171,9 +171,9 @@ func (o *serverObs) runFinished(log *obs.Logger, run *Run, tr *obs.Trace, elapse
 }
 
 // countingSink counts every provenance decision by stage and kind before
-// forwarding to the next sink (the run's pubSub broadcaster). A nil
-// *countingSink drops nothing silently — it simply forwards nowhere, like
-// every sink in this repository.
+// forwarding to the next sink (the run's stageSink). A nil *countingSink
+// drops nothing silently — it simply forwards nowhere, like every sink in
+// this repository.
 type countingSink struct {
 	c    *obs.Counter
 	next provenance.Sink
@@ -192,21 +192,21 @@ func (s *countingSink) Record(d provenance.Decision) {
 	}
 }
 
-// stageSink publishes a stage-entered lifecycle event whenever the
-// provenance decision stream crosses into a new pipeline stage, then
-// forwards to the next sink. Deduplicating on stage transitions keeps the
-// event stream proportional to pipeline depth, not decision count. A nil
-// *stageSink forwards nowhere, like every sink in this repository.
+// stageSink publishes a stage-entered lifecycle event the first time the
+// run's provenance decision stream enters each pipeline stage. The CSA and
+// VM-level stages alternate once per VCPU, so deduplicating on first entry
+// (not on transitions) keeps the event stream proportional to pipeline
+// depth, not VCPU or decision count. A nil *stageSink publishes nothing,
+// like every sink in this repository.
 type stageSink struct {
 	bus     *eventBus
 	run     string
 	kind    string
 	traceID string
-	next    provenance.Sink
 
 	mu sync.Mutex
 	//vc2m:guardedby mu
-	last string
+	seen map[string]bool
 }
 
 // Record implements provenance.Sink.
@@ -215,19 +215,16 @@ func (s *stageSink) Record(d provenance.Decision) {
 		return
 	}
 	s.mu.Lock()
-	changed := d.Stage != s.last
-	if changed {
-		s.last = d.Stage
+	first := !s.seen[d.Stage]
+	if first {
+		s.seen[d.Stage] = true
 	}
 	s.mu.Unlock()
-	if changed {
+	if first {
 		s.bus.publish(RunEvent{
 			Type: EventStage, Run: s.run, Kind: s.kind,
 			State: StateRunning, Stage: d.Stage, TraceID: s.traceID,
 		})
-	}
-	if s.next != nil {
-		s.next.Record(d)
 	}
 }
 
@@ -251,7 +248,7 @@ func routeLabel(r *http.Request) string {
 			return "/v1/runs/{id}"
 		}
 		switch rest[i:] {
-		case "/report", "/provenance", "/cancel", "/churn", "/events":
+		case "/report", "/cancel", "/churn", "/events":
 			return "/v1/runs/{id}" + rest[i:]
 		}
 		return "/v1/runs/{id}/other"

@@ -225,8 +225,8 @@ func TestPanicRecoveryThroughHandlerChain(t *testing.T) {
 
 func TestRequestIDReachesAccessLog(t *testing.T) {
 	// An inbound X-Request-Id must be echoed on the response and appear in
-	// the access log line for the provenance stream, correlating a client
-	// retry with the exact server-side request.
+	// the access log line for the report fetch, correlating a client retry
+	// with the exact server-side request.
 	_, c, url, logBuf := startObsHTTP(t, server.Config{Workers: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -241,7 +241,7 @@ func TestRequestIDReachesAccessLog(t *testing.T) {
 
 	const reqID = "corr-test-42"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/runs/%s/provenance", url, sub.ID), nil)
+		fmt.Sprintf("%s/v1/runs/%s/report", url, sub.ID), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +259,8 @@ func TestRequestIDReachesAccessLog(t *testing.T) {
 	if !strings.Contains(logs, "req="+reqID) {
 		t.Errorf("access log lacks the inbound request ID %q:\n%s", reqID, logs)
 	}
-	if !strings.Contains(logs, "route=/v1/runs/{id}/provenance") {
-		t.Errorf("access log lacks the normalized provenance route:\n%s", logs)
+	if !strings.Contains(logs, "route=/v1/runs/{id}/report") {
+		t.Errorf("access log lacks the normalized report route:\n%s", logs)
 	}
 }
 

@@ -33,8 +33,8 @@ const (
 
 // Run is one registry entry: the submission, its lifecycle state, and —
 // once done — the marshaled report document. The provenance recorder is
-// live from the moment the run is created, so the streaming endpoint can
-// attach before execution starts and observe every decision.
+// live from the moment the run is created, so the status endpoint's
+// decision count and the stage events follow execution as it happens.
 type Run struct {
 	id   string
 	kind string
@@ -48,7 +48,6 @@ type Run struct {
 	reqID    string
 
 	prov *provenance.Recorder
-	pub  *pubSub
 
 	// execCtx is the context workers execute the run under; cancel
 	// aborts it (explicit cancel endpoint or hard shutdown). Both are
@@ -74,7 +73,7 @@ type Run struct {
 	alloc *model.Allocation
 	// terminalEv is the run's published terminal lifecycle event, retained
 	// so a late SSE subscriber can replay it after the bus ring evicted it.
-	// It is stored before finish closes done, so Done() observers always
+	// finish stores it before closing done, so Done() observers always
 	// find it.
 	//vc2m:guardedby mu
 	terminalEv *RunEvent
@@ -86,14 +85,6 @@ func (r *Run) ID() string { return r.id }
 // TraceContext returns the run's W3C trace context — always valid on a
 // registered run (minted at Add when the submitter carried none).
 func (r *Run) TraceContext() obs.TraceContext { return r.traceCtx }
-
-// setTerminalEvent retains the run's published terminal lifecycle event;
-// call it before finish so Done() observers see it.
-func (r *Run) setTerminalEvent(ev RunEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.terminalEv = &ev
-}
 
 // TerminalEvent returns the retained terminal lifecycle event, or nil
 // while the run has not finished.
@@ -172,17 +163,25 @@ func (r *Run) setRunning() bool {
 	return true
 }
 
-// finish records the terminal state and wakes every waiter, including
-// provenance streamers blocked on the next decision.
-func (r *Run) finish(state State, doc *report.Document, docJSON []byte, errMsg string) {
+// setResult records the terminal state and the report. Call it before the
+// terminal event is published, so a client that re-reads the status on
+// that event finds it terminal.
+func (r *Run) setResult(state State, doc *report.Document, docJSON []byte, errMsg string) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.state = state
 	r.doc = doc
 	r.docJSON = docJSON
 	r.errMsg = errMsg
+}
+
+// finish retains the published terminal event and wakes every Done()
+// waiter, which can therefore always replay the event.
+func (r *Run) finish(ev RunEvent) {
+	r.mu.Lock()
+	r.terminalEv = &ev
 	r.mu.Unlock()
 	close(r.done)
-	r.pub.notify()
 }
 
 // Registry tracks every accepted run, keyed by a counter-based ID —
@@ -200,8 +199,7 @@ type Registry struct {
 	// decisions, when non-nil, counts every recorded provenance decision
 	// by stage and kind (vc2m_decisions_total). Set once via
 	// SetDecisionCounter before any Add; the counter is chained ahead of
-	// the run's pubSub broadcaster so streamers still wake on every
-	// decision.
+	// the stage sink.
 	//vc2m:guardedby mu
 	decisions *obs.Counter
 	// events, when non-nil, receives stage-entered lifecycle events derived
@@ -240,7 +238,6 @@ func (g *Registry) SetEventBus(b *eventBus) {
 // from the moment it exists; reqID is the submitting HTTP request's ID
 // ("" for direct Submit calls).
 func (g *Registry) Add(req SubmitRequest, execCtx context.Context, cancel context.CancelFunc, tc obs.TraceContext, reqID string) *Run {
-	pub := newPubSub()
 	kind := req.Kind
 	if kind == "" {
 		kind = KindRun
@@ -252,9 +249,9 @@ func (g *Registry) Add(req SubmitRequest, execCtx context.Context, cancel contex
 	defer g.mu.Unlock()
 	g.next++
 	id := fmt.Sprintf("r%04d", g.next)
-	var sink provenance.Sink = pub
+	var sink provenance.Sink
 	if g.events != nil {
-		sink = &stageSink{bus: g.events, run: id, kind: kind, traceID: tc.TraceID, next: sink}
+		sink = &stageSink{bus: g.events, run: id, kind: kind, traceID: tc.TraceID, seen: make(map[string]bool)}
 	}
 	if g.decisions != nil {
 		sink = &countingSink{c: g.decisions, next: sink}
@@ -266,7 +263,6 @@ func (g *Registry) Add(req SubmitRequest, execCtx context.Context, cancel contex
 		traceCtx: tc,
 		reqID:    reqID,
 		prov:     provenance.NewStreaming(sink),
-		pub:      pub,
 		execCtx:  execCtx,
 		cancel:   cancel,
 		done:     make(chan struct{}),
@@ -328,51 +324,4 @@ func (g *Registry) Count() (total int, byState map[State]int) {
 		byState[r.Status().State]++
 	}
 	return len(runs), byState
-}
-
-// pubSub wakes provenance streamers when a new decision lands. It
-// implements provenance.Sink: the recorder retains the decisions, the
-// sink only broadcasts "there is more to read". A nil *pubSub drops
-// notifications, like every sink in this repository.
-type pubSub struct {
-	mu sync.Mutex
-	//vc2m:guardedby mu
-	ch chan struct{}
-}
-
-func newPubSub() *pubSub {
-	return &pubSub{ch: make(chan struct{})}
-}
-
-// Record implements provenance.Sink.
-func (p *pubSub) Record(provenance.Decision) {
-	if p == nil {
-		return
-	}
-	p.notify()
-}
-
-// notify wakes every current waiter.
-func (p *pubSub) notify() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	close(p.ch)
-	p.ch = make(chan struct{})
-	p.mu.Unlock()
-}
-
-// wait returns a channel closed at the next notify. Grab the channel
-// BEFORE reading the recorder, so a decision landing between the read and
-// the wait still wakes the waiter.
-func (p *pubSub) wait() <-chan struct{} {
-	if p == nil {
-		ch := make(chan struct{})
-		close(ch)
-		return ch
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ch
 }

@@ -27,8 +27,6 @@ type Config struct {
 	RunTimeout time.Duration
 	// RequestTimeout bounds non-streaming HTTP requests (default 30s).
 	RequestTimeout time.Duration
-	// WaitTimeout caps a blocking GET /v1/runs/{id}?wait=1 (default 5m).
-	WaitTimeout time.Duration
 	// Logger receives the server's structured log stream (run lifecycle,
 	// access lines, panics). Nil disables logging at no cost.
 	Logger *obs.Logger
@@ -58,9 +56,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.WaitTimeout <= 0 {
-		c.WaitTimeout = 5 * time.Minute
 	}
 	return c
 }
@@ -255,9 +250,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //	GET  /api/metrics              registry/pool gauges (JSON)
 //	POST /v1/runs                  submit a run, sweep or churn
 //	GET  /v1/runs                  list runs
-//	GET  /v1/runs/{id}[?wait=1]    run status (wait=1 blocks until done)
-//	GET  /v1/runs/{id}/report      the vc2m.report/v1 document
-//	GET  /v1/runs/{id}/provenance  live decision stream (JSONL, chunked)
+//	GET  /v1/runs/{id}             run status (live decision count)
+//	GET  /v1/runs/{id}/report      the vc2m.report/v1 document (with its decisions)
 //	GET  /v1/runs/{id}/events      the run's lifecycle events (SSE; ends at terminal)
 //	POST /v1/runs/{id}/cancel      cancel a pending/running run
 //	POST /v1/runs/{id}/churn       queue an incremental churn run on {id}
@@ -265,17 +259,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //	GET  /dashboard                self-contained live HTML dashboard
 //	GET  /debug/pprof/...          runtime profiles (CPU, heap, goroutine)
 //
+// The SSE event streams are the one way to follow or wait on a run.
+//
 // Every route passes through the observability middleware: request-ID
 // minting/propagation (X-Request-Id), panic recovery, access logging and
 // per-endpoint latency metrics.
 func (s *Server) Handler() http.Handler { return s.handler }
 
 func (s *Server) buildHandler() http.Handler {
-	// Bounded-work endpoints sit behind the per-request timeout; the
-	// blocking endpoints (wait-polling, provenance streaming) and the
-	// pprof profile endpoints (a 30s CPU profile is the point) manage
-	// their own deadlines because http.TimeoutHandler buffers bodies,
-	// which would break chunked streaming.
+	// Bounded-work endpoints sit behind the per-request timeout; the SSE
+	// streams and the pprof profile endpoints (a 30s CPU profile is the
+	// point) manage their own deadlines because http.TimeoutHandler
+	// buffers bodies, which would break streaming.
 	bounded := http.NewServeMux()
 	bounded.HandleFunc("GET /healthz", s.handleHealth)
 	bounded.Handle("GET /metrics", s.om.reg.Handler())
@@ -283,6 +278,7 @@ func (s *Server) buildHandler() http.Handler {
 	bounded.HandleFunc("GET /dashboard", s.handleDashboard)
 	bounded.HandleFunc("POST /v1/runs", s.handleSubmit)
 	bounded.HandleFunc("GET /v1/runs", s.handleList)
+	bounded.HandleFunc("GET /v1/runs/{id}", s.handleGet)
 	bounded.HandleFunc("GET /v1/runs/{id}/report", s.handleReport)
 	bounded.HandleFunc("POST /v1/runs/{id}/cancel", s.handleCancel)
 	bounded.HandleFunc("POST /v1/runs/{id}/churn", s.handleChurn)
@@ -293,8 +289,6 @@ func (s *Server) buildHandler() http.Handler {
 	}
 
 	root := http.NewServeMux()
-	root.HandleFunc("GET /v1/runs/{id}", s.handleGet)
-	root.HandleFunc("GET /v1/runs/{id}/provenance", s.handleProvenance)
 	root.HandleFunc("GET /v1/runs/{id}/events", s.handleRunEvents)
 	root.HandleFunc("GET /v1/events", s.handleEvents)
 	root.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -390,16 +384,6 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if r.URL.Query().Get("wait") != "" {
-		wait := time.NewTimer(s.cfg.WaitTimeout)
-		defer wait.Stop()
-		select {
-		case <-run.Done():
-		case <-r.Context().Done():
-			return
-		case <-wait.C:
-		}
-	}
 	writeJSON(w, http.StatusOK, run.Status())
 }
 
@@ -462,48 +446,4 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	run.Cancel()
 	writeJSON(w, http.StatusOK, run.Status())
-}
-
-// handleProvenance streams the run's decision log as JSON lines over a
-// chunked response, following the live stream until the run finishes or
-// the client disconnects — `curl .../provenance` tails an allocation.
-func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, canFlush := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	next := 0
-	for {
-		// Grab the wakeup channel before draining, so a decision landing
-		// in between still wakes us.
-		wake := run.pub.wait()
-		for _, d := range run.prov.DecisionsFrom(next) {
-			if err := enc.Encode(d); err != nil {
-				return
-			}
-			next++
-		}
-		if canFlush {
-			flusher.Flush()
-		}
-		select {
-		case <-run.Done():
-			// Final drain: decisions recorded between the loop above and
-			// the run finishing.
-			for _, d := range run.prov.DecisionsFrom(next) {
-				if err := enc.Encode(d); err != nil {
-					return
-				}
-				next++
-			}
-			return
-		case <-wake:
-		case <-r.Context().Done():
-			return
-		}
-	}
 }

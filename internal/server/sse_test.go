@@ -1,9 +1,9 @@
 package server_test
 
 // SSE and trace-propagation tests over the public surfaces: the run-event
-// lifecycle stream, client Wait's stream-first/poll-fallback behavior
-// (cancellation, server restart with Last-Event-ID resume, non-SSE
-// fallback), end-to-end traceparent adoption including the malformed-header
+// lifecycle stream, client Wait's behavior (cancellation, server restart
+// with Last-Event-ID resume, fail-fast on HTTP errors), end-to-end
+// traceparent adoption including the malformed-header
 // restart semantics, churn trace correlation, and the self-contained
 // dashboard page.
 
@@ -32,8 +32,12 @@ func TestRunEventLifecycleSequence(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
+	// An existing-CSA run: its CSA and VM-level stages alternate once per
+	// VCPU, so it is the run that would repeat stage events.
+	req := submitReq(7, 1100)
+	req.Mode = "existing"
 	tc := obs.NewTraceContext()
-	sub, err := c.Submit(obs.ContextWithTraceContext(ctx, tc), submitReq(7, 1100))
+	sub, err := c.Submit(obs.ContextWithTraceContext(ctx, tc), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +59,7 @@ func TestRunEventLifecycleSequence(t *testing.T) {
 	if !last.Terminal() || last.Type != server.EventFinished {
 		t.Fatalf("lifecycle ends with %q, want finished", last.Type)
 	}
-	stages := 0
+	stages := map[string]int{}
 	for i, ev := range events {
 		if ev.Run != sub.ID {
 			t.Fatalf("event %d is for run %q, want %q", i, ev.Run, sub.ID)
@@ -67,13 +71,16 @@ func TestRunEventLifecycleSequence(t *testing.T) {
 			t.Fatalf("sequence numbers not strictly increasing: %d then %d", events[i-1].Seq, ev.Seq)
 		}
 		if ev.Type == server.EventStage {
-			stages++
+			stages[ev.Stage]++
+			if stages[ev.Stage] > 1 {
+				t.Fatalf("stage %q published twice; stage events fire on first entry only", ev.Stage)
+			}
 		}
 		if ev.Terminal() && i != len(events)-1 {
 			t.Fatalf("terminal event at index %d of %d", i, len(events))
 		}
 	}
-	if stages == 0 {
+	if len(stages) == 0 {
 		t.Error("no stage events in the lifecycle stream")
 	}
 
@@ -240,7 +247,7 @@ func TestWaitReconnectAcrossRestart(t *testing.T) {
 		_ = sB.Shutdown(sctx)
 	})
 	// Submit before serving HTTP so r0001 exists the moment the client
-	// reconnects (a 404 would send Wait down the fallback path instead).
+	// reconnects (a 404 would end Wait with an error instead).
 	runB, err := sB.Submit(submitReq(5, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -265,44 +272,29 @@ func TestWaitReconnectAcrossRestart(t *testing.T) {
 	}
 }
 
-// sseBlockingTransport answers every events request with a plain 404 so
-// the client behaves as if the server predates SSE.
-type sseBlockingTransport struct{ rt http.RoundTripper }
-
-func (b sseBlockingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if strings.HasSuffix(req.URL.Path, "/events") {
-		return &http.Response{
-			StatusCode: http.StatusNotFound,
-			Status:     "404 Not Found",
-			Header:     http.Header{"Content-Type": []string{"application/json"}},
-			Body:       io.NopCloser(strings.NewReader(`{"error":"no such route"}`)),
-			Request:    req,
-		}, nil
-	}
-	return b.rt.RoundTrip(req)
-}
-
-func TestWaitFallbackPolling(t *testing.T) {
+func TestWaitUnknownRunFailsFast(t *testing.T) {
+	// An HTTP error from the events endpoint ends Wait at once with the
+	// server's message: only transport drops and early stream ends
+	// reconnect.
 	s := server.New(server.Config{Workers: 1})
 	s.Start()
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(hs.Close)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	})
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
 
-	c := client.New(hs.URL, &http.Client{Transport: sseBlockingTransport{rt: &http.Transport{}}})
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	tr := &recordingTransport{rt: &http.Transport{}}
+	t.Cleanup(tr.rt.(*http.Transport).CloseIdleConnections)
+	c := client.New(hs.URL, &http.Client{Transport: tr})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	sub, err := c.Submit(ctx, submitReq(7, 0))
-	if err != nil {
-		t.Fatal(err)
+	_, err := c.Wait(ctx, "r9999")
+	if err == nil || !strings.Contains(err.Error(), "HTTP 404") || !strings.Contains(err.Error(), "r9999") {
+		t.Fatalf("Wait on an unknown run returned %v, want the server's 404", err)
 	}
-	st, err := c.Wait(ctx, sub.ID)
-	if err != nil || st.State != server.StateDone {
-		t.Fatalf("Wait without SSE: %v, state %+v (want done via polling)", err, st)
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if len(tr.lastEventIDs) != 1 {
+		t.Fatalf("Wait made %d events requests on a 404, want 1", len(tr.lastEventIDs))
 	}
 }
 
