@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck lint lint-tests lint-sarif test bench bench-smoke bench-check churn-bench fuzz-smoke race cover ci determinism report-smoke server-smoke obs-smoke paper-smoke perfbench-check paper examples clean
+.PHONY: all build vet fmtcheck lint lint-tests lint-sarif test bench bench-smoke fuzz-smoke race cover ci determinism report-smoke server-smoke obs-smoke paper-smoke perfbench-check paper examples clean
 
 all: build vet test
 
@@ -53,40 +53,6 @@ bench:
 bench-smoke:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
 
-# Quick run of the vc2m-bench macro suite, schema-checked against the
-# newest committed baseline under results/ — catches renamed or dropped
-# benchmarks without caring about machine-dependent values. See
-# EXPERIMENTS.md, "Benchmarking and performance regression". Set
-# BENCH_OUT=<dir> to keep the report (CI uploads it as an artifact);
-# unset, it goes to a temp dir.
-bench-check:
-	@out="$(BENCH_OUT)"; if [ -z "$$out" ]; then \
-		out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; fi; \
-	mkdir -p "$$out"; \
-	base=$$(ls results/BENCH_*.json 2>/dev/null | sort | tail -1); \
-	if [ -z "$$base" ]; then echo "no committed BENCH_*.json baseline under results/"; exit 1; fi; \
-	$(GO) run ./cmd/vc2m-bench -quick -out "$$out" -check "$$base"
-
-# Churn smoke: the sustained-churn benchmark pair at smoke size — drives
-# the incremental warm-start path end to end (admit, evict, warm place,
-# repack) against its from-scratch baseline and checks both entries land
-# in the report with baselines attached. Values at this size are
-# meaningless; the committed BENCH_*.json carries the real measurement.
-# Set BENCH_OUT=<dir> to keep the report (CI uploads it as an artifact).
-churn-bench:
-	@out="$(BENCH_OUT)"; if [ -z "$$out" ]; then \
-		out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; fi; \
-	mkdir -p "$$out"; \
-	$(GO) run ./cmd/vc2m-bench -quick -only churn -out "$$out" || exit 1; \
-	f=$$(ls "$$out"/BENCH_*.json | sort | tail -1); \
-	for name in churn/incremental-existing-csa churn/incremental-flattening; do \
-		grep -q "\"$$name\"" "$$f" || \
-			{ echo "churn-bench: $$name missing from report"; exit 1; }; \
-	done; \
-	grep -q '"from-scratch"' "$$f" || \
-		{ echo "churn-bench: no from-scratch baseline recorded"; exit 1; }; \
-	echo "churn-bench: smoke report complete, both churn entries carry from-scratch baselines"
-
 # A few hundred iterations of every native fuzz target — exercises the
 # harnesses and seed corpora; real fuzzing sessions use
 # `go test -fuzz=<target> -fuzztime=5m <pkg>`.
@@ -95,7 +61,8 @@ fuzz-smoke:
 	for tgt in internal/model:FuzzDecodeSystem internal/model:FuzzDecodeAllocation \
 	           internal/timeunit:FuzzMillisConversions internal/timeunit:FuzzTickRoundTrips \
 	           internal/timeunit:FuzzGCDLCM internal/workload:FuzzGenerate \
-	           internal/alloc:FuzzIncrementalChurn internal/obs:FuzzPromParse; do \
+	           internal/alloc:FuzzIncrementalChurn internal/obs:FuzzPromParse \
+	           internal/server:FuzzSubmitRequest; do \
 		pkg=$${tgt%%:*}; fn=$${tgt##*:}; \
 		$(GO) test -run=^$$ -fuzz="^$$fn$$" -fuzztime=300x ./$$pkg || exit 1; \
 	done
@@ -103,7 +70,7 @@ fuzz-smoke:
 # Everything CI runs, locally. The workflow (.github/workflows/ci.yml)
 # calls these same targets step by step, so this list is the single
 # source of truth for what a green build means.
-ci: build vet fmtcheck lint lint-sarif test race bench-smoke bench-check churn-bench fuzz-smoke determinism report-smoke server-smoke obs-smoke paper-smoke perfbench-check
+ci: build vet fmtcheck lint lint-sarif test race bench-smoke fuzz-smoke determinism report-smoke server-smoke obs-smoke paper-smoke perfbench-check
 
 race:
 	$(GO) test -race ./...

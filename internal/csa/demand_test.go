@@ -2,6 +2,7 @@ package csa
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -141,5 +142,64 @@ func TestDemandCheckpointsShared(t *testing.T) {
 	b := d.Checkpoints()
 	if &a[0] != &b[0] {
 		t.Error("Checkpoints should return the shared slice (documented)")
+	}
+}
+
+// TestDBFIntoMatchesFromScratch guards the memoized demand evaluation the
+// existing CSA runs once per candidate (c,b): for every candidate on
+// Platform A, DBFInto over the period-folded counts matrix — one WCET and
+// one demand buffer reused across the whole grid — must equal the
+// from-scratch dbf(t) = sum_i floor(t/p_i)*e_i(c,b) at every checkpoint.
+func TestDBFIntoMatchesFromScratch(t *testing.T) {
+	p := model.PlatformA
+	// The 24-task harmonic 10..160 ms ladder: 16 checkpoints and five
+	// distinct periods, the shape the existing CSA sees on the paper's
+	// workloads.
+	ladder := make([]float64, 24)
+	for i := range ladder {
+		ladder[i] = 10 * float64(int(1)<<uint(i%5))
+	}
+	cases := []struct {
+		name    string
+		periods []float64
+	}{
+		{"harmonic ladder", ladder},
+		{"non-harmonic", []float64{10, 15, 25}},
+		{"co-prime", []float64{7, 11, 13}},
+		{"fractional with repeats", []float64{12.5, 30, 45, 30, 12.5}},
+	}
+	for _, tc := range cases {
+		// WCETs vary with (c,b) and per task, so a candidate or task
+		// mixed up anywhere in the fold shows as a wrong demand.
+		tasks := make([]*model.Task, len(tc.periods))
+		for i, period := range tc.periods {
+			wcet := model.NewResourceTableFor(p)
+			wcet.Fill(func(c, b int) float64 {
+				return period * 0.04 * (1 + float64(i%3+1)/float64(c) + 0.5/float64(b))
+			})
+			tasks[i] = &model.Task{ID: fmt.Sprintf("t%d", i), Period: period, WCET: wcet}
+		}
+		d, err := NewDemand(TaskPeriods(tasks))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		cps := d.Checkpoints()
+		wcets := make([]float64, len(tasks))
+		dem := make([]float64, len(cps))
+		for c := p.Cmin; c <= p.C; c++ {
+			for b := p.Bmin; b <= p.B; b++ {
+				d.DBFInto(dem, TaskWCETsInto(wcets, tasks, c, b))
+				for k, cp := range cps {
+					var want float64
+					for _, task := range tasks {
+						want += math.Floor(cp/task.Period+1e-9) * task.WCET.At(c, b)
+					}
+					if math.Abs(dem[k]-want) > 1e-9*math.Max(want, 1) {
+						t.Fatalf("%s: (c=%d, b=%d) dbf(%v) = %v, from scratch %v",
+							tc.name, c, b, cp, dem[k], want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -70,18 +70,39 @@ func TestWithDefaultsUtilMinZero(t *testing.T) {
 	}
 }
 
-// TestRunSchedulabilityRejectsBadRange checks the new validation errors.
+// TestRunSchedulabilityRejectsBadRange checks that a sweep Validate
+// refuses makes RunSchedulability return an error rather than panic (a
+// negative taskset count used to reach make() with a negative length).
 func TestRunSchedulabilityRejectsBadRange(t *testing.T) {
-	base := SchedConfig{Platform: model.PlatformA, TasksetsPerPoint: 1}
-	bad := base
-	bad.UtilMin, bad.UtilMax, bad.UtilStep = 1.0, 2.0, -0.1
-	if _, err := RunSchedulability(bad); err == nil {
-		t.Error("negative UtilStep accepted")
+	base := SchedConfig{Platform: model.PlatformA, UtilMin: 1.0, UtilMax: 1.0, UtilStep: 0.1, TasksetsPerPoint: 1}
+	cases := []struct {
+		name   string
+		mutate func(*SchedConfig)
+	}{
+		{"negative UtilStep", func(c *SchedConfig) { c.UtilMin, c.UtilMax, c.UtilStep = 1.0, 2.0, -0.1 }},
+		{"UtilMax < UtilMin", func(c *SchedConfig) { c.UtilMin, c.UtilMax = 2.0, 1.0 }},
+		{"negative TasksetsPerPoint", func(c *SchedConfig) { c.TasksetsPerPoint = -1 }},
+		{"invalid platform", func(c *SchedConfig) { c.Platform = model.Platform{} }},
 	}
-	bad = base
-	bad.UtilMin, bad.UtilMax, bad.UtilStep = 2.0, 1.0, 0.1
-	if _, err := RunSchedulability(bad); err == nil {
-		t.Error("UtilMax < UtilMin accepted")
+	for _, tc := range cases {
+		name, bad := tc.name, base
+		tc.mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, bad)
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: RunSchedulability panicked: %v", name, p)
+				}
+			}()
+			if _, err := RunSchedulability(bad); err == nil {
+				t.Errorf("%s: RunSchedulability accepted the sweep", name)
+			}
+		}()
+	}
+	if err := base.Validate(); err != nil {
+		t.Errorf("valid sweep refused: %v", err)
 	}
 }
 

@@ -85,14 +85,20 @@ func TestRunOnlineParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRunSchedulabilityParallelMatchesSerial keeps the sweep's parallel
+// path honest against the serial reference. The range crosses the
+// schedulability cliff so fractions are not all 1, and the search-effort
+// counters (deterministic at any Parallel) catch a taskset analyzed twice
+// or skipped even where the fractions happen to agree.
 func TestRunSchedulabilityParallelMatchesSerial(t *testing.T) {
 	base := SchedConfig{
 		Platform:         model.PlatformA,
-		UtilMin:          0.4,
-		UtilMax:          0.8,
-		UtilStep:         0.2,
+		UtilMin:          0.8,
+		UtilMax:          1.6,
+		UtilStep:         0.4,
 		TasksetsPerPoint: 4,
 		Seed:             5,
+		CollectMetrics:   true,
 	}
 	serial, err := RunSchedulability(base)
 	if err != nil {
@@ -108,5 +114,12 @@ func TestRunSchedulabilityParallelMatchesSerial(t *testing.T) {
 	if serial.FractionTable() != parallel.FractionTable() {
 		t.Errorf("fraction tables differ:\nserial:\n%s\nparallel:\n%s",
 			serial.FractionTable(), parallel.FractionTable())
+	}
+	for si := range serial.Series {
+		sc, pc := serial.Series[si].Metrics.Counters, parallel.Series[si].Metrics.Counters
+		if !reflect.DeepEqual(sc, pc) {
+			t.Errorf("%s: counters differ:\nserial   %v\nparallel %v",
+				serial.Series[si].Solution, sc, pc)
+		}
 	}
 }

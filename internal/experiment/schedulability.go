@@ -116,6 +116,28 @@ func (c SchedConfig) withDefaults() SchedConfig {
 	return c
 }
 
+// Validate reports whether the sweep, once its zero fields take the
+// paper's defaults, is one RunSchedulability can run: a valid platform, a
+// non-negative step and taskset count, and UtilMax >= UtilMin.
+// RunSchedulability runs it first; callers that queue a sweep for later
+// (vc2m-server) run it at submission so a bad sweep is refused up front.
+func (c SchedConfig) Validate() error {
+	c = c.withDefaults()
+	if err := c.Platform.Validate(); err != nil {
+		return err
+	}
+	if c.TasksetsPerPoint < 0 {
+		return fmt.Errorf("experiment: negative TasksetsPerPoint %d", c.TasksetsPerPoint)
+	}
+	if c.UtilStep < 0 {
+		return fmt.Errorf("experiment: negative UtilStep %v", c.UtilStep)
+	}
+	if c.UtilMax < c.UtilMin {
+		return fmt.Errorf("experiment: UtilMax %v below UtilMin %v", c.UtilMax, c.UtilMin)
+	}
+	return nil
+}
+
 // utilGrid returns the utilization sweep min, min+step, ..., up to and
 // including max (within a relative tolerance for the endpoint). Each point
 // is generated as min + i*step rather than by repeated addition, so the
@@ -169,16 +191,10 @@ type SchedResult struct {
 // Workload generation draws from a dedicated RNG stream per taskset, so
 // every solution sees identical tasksets.
 func RunSchedulability(cfg SchedConfig) (*SchedResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Platform.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.UtilStep < 0 {
-		return nil, fmt.Errorf("experiment: negative UtilStep %v", cfg.UtilStep)
-	}
-	if cfg.UtilMax < cfg.UtilMin {
-		return nil, fmt.Errorf("experiment: UtilMax %v below UtilMin %v", cfg.UtilMax, cfg.UtilMin)
-	}
+	cfg = cfg.withDefaults()
 
 	utils := utilGrid(cfg.UtilMin, cfg.UtilMax, cfg.UtilStep)
 

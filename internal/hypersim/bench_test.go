@@ -10,8 +10,8 @@ import (
 )
 
 // benchAlloc builds n flattened VCPUs spread over 4 cores at ~80% load.
-func benchAlloc(b *testing.B, n int) *model.Allocation {
-	b.Helper()
+func benchAlloc(tb testing.TB, n int) *model.Allocation {
+	tb.Helper()
 	p := model.PlatformA
 	perCore := make([][]*model.VCPU, 4)
 	for i := 0; i < n; i++ {

@@ -100,8 +100,7 @@ type Config struct {
 	// instead of reading the top of the ready heaps. Both implementations
 	// realize the same strict total order (EDF with the deterministic
 	// tie-breaking rule), so traces are byte-identical either way; the
-	// linear path is retained as the oracle for differential tests and
-	// the performance baseline for the bench harness.
+	// linear path is retained as the oracle for differential tests.
 	LinearDispatch bool
 	// Span, when non-nil, is the parent under which Run opens one
 	// hypersim.run wall-clock span annotated with the run's volume

@@ -155,16 +155,27 @@ func checkEventInvariants(t *testing.T, seed int, res *Result) {
 // TestHeapAndLinearDispatchIdentical: the heap-based ready queues and the
 // retained linear-scan dispatch realize the same strict total order, so
 // identical seeds must yield bit-identical flight-recorder streams — the
-// differential guarantee the bench harness and Config.LinearDispatch's
-// doc comment promise.
+// differential guarantee Config.LinearDispatch's doc comment promises.
+// Besides the random workloads, it runs benchAlloc's 384-VCPU, 4-core
+// ladder: deep ready queues, the scale where the heap's ordering differs
+// most from a linear scan.
 func TestHeapAndLinearDispatchIdentical(t *testing.T) {
-	for i, a := range invariantAllocs(t, 10) {
+	type input struct {
+		a       *model.Allocation
+		horizon timeunit.Ticks
+	}
+	var inputs []input
+	for _, a := range invariantAllocs(t, 10) {
+		inputs = append(inputs, input{a, timeunit.FromMillis(800)})
+	}
+	inputs = append(inputs, input{benchAlloc(t, 384), timeunit.FromMillis(500)})
+	for i, w := range inputs {
 		run := func(linear bool) *Result {
-			s, err := New(a, Config{RecordTrace: true, LinearDispatch: linear})
+			s, err := New(w.a, Config{RecordTrace: true, LinearDispatch: linear})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return s.Run(timeunit.FromMillis(800))
+			return s.Run(w.horizon)
 		}
 		rh, rl := run(false), run(true)
 		if len(rh.Events) != len(rl.Events) {
@@ -177,7 +188,8 @@ func TestHeapAndLinearDispatchIdentical(t *testing.T) {
 			}
 		}
 		if rh.Released != rl.Released || rh.Completed != rl.Completed || rh.Missed != rl.Missed ||
-			rh.ContextSwitches != rl.ContextSwitches || rh.SchedInvocations != rl.SchedInvocations {
+			rh.ContextSwitches != rl.ContextSwitches || rh.SchedInvocations != rl.SchedInvocations ||
+			rh.EngineSteps != rl.EngineSteps {
 			t.Fatalf("workload %d: aggregate metrics differ between dispatch paths", i)
 		}
 	}

@@ -453,7 +453,7 @@ func (s *Simulator) pickVCPU(core *coreState) *vcpuState {
 }
 
 // pickVCPULinear is the reference linear-scan dispatch, kept as the oracle
-// for differential tests and the bench harness's before/after comparison.
+// for differential tests (TestHeapAndLinearDispatchIdentical).
 func pickVCPULinear(core *coreState) *vcpuState {
 	var best *vcpuState
 	for _, v := range core.vcpus {

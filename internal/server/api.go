@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"vc2m"
+	"vc2m/internal/experiment"
 	"vc2m/internal/model"
 	"vc2m/internal/obs"
 	"vc2m/internal/workload"
@@ -117,6 +118,32 @@ type SweepSpec struct {
 	Parallel int `json:"parallel,omitempty"`
 }
 
+// schedConfig resolves the spec into the sweep RunSchedulability runs.
+// Validate and executeSweep both go through it, so the POST refuses
+// exactly the sweeps experiment.SchedConfig.Validate would fail later.
+func (s *SweepSpec) schedConfig(seed int64) (experiment.SchedConfig, error) {
+	plat, err := model.PlatformByName(s.Platform)
+	if err != nil {
+		return experiment.SchedConfig{}, err
+	}
+	dist := workload.Uniform
+	if s.Dist != "" {
+		if dist, err = workload.ParseDistribution(s.Dist); err != nil {
+			return experiment.SchedConfig{}, err
+		}
+	}
+	return experiment.SchedConfig{
+		Platform:         plat,
+		Dist:             dist,
+		UtilMin:          s.UtilMin,
+		UtilMax:          s.UtilMax,
+		UtilStep:         s.UtilStep,
+		TasksetsPerPoint: s.TasksetsPerPoint,
+		Seed:             seed,
+		Parallel:         s.Parallel,
+	}, nil
+}
+
 // Validate checks the submission before it is queued, so malformed specs
 // fail the POST instead of surfacing later as a failed run.
 func (r *SubmitRequest) Validate() error {
@@ -151,13 +178,12 @@ func (r *SubmitRequest) Validate() error {
 		if r.Sweep == nil {
 			return fmt.Errorf("server: a sweep needs a sweep spec")
 		}
-		if _, err := model.PlatformByName(r.Sweep.Platform); err != nil {
+		cfg, err := r.Sweep.schedConfig(r.Seed)
+		if err != nil {
 			return err
 		}
-		if r.Sweep.Dist != "" {
-			if _, err := workload.ParseDistribution(r.Sweep.Dist); err != nil {
-				return err
-			}
+		if err := cfg.Validate(); err != nil {
+			return err
 		}
 		if r.System != nil || r.Generate != nil {
 			return fmt.Errorf("server: system/generate on a %q submission", KindSweep)

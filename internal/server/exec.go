@@ -247,46 +247,28 @@ func buildSystem(req SubmitRequest) (*model.System, error) {
 // executeSweep is the KindSweep path: a schedulability sweep whose curves
 // land in a KindSweep document, decision-per-case provenance included.
 func executeSweep(ctx context.Context, req SubmitRequest, prov *provenance.Recorder, sp *obs.Span) (*report.Document, error) {
-	spec := req.Sweep
-	plat, err := model.PlatformByName(spec.Platform)
+	cfg, err := req.Sweep.schedConfig(req.Seed)
 	if err != nil {
 		return nil, err
-	}
-	dist := workload.Uniform
-	if spec.Dist != "" {
-		if dist, err = workload.ParseDistribution(spec.Dist); err != nil {
-			return nil, err
-		}
 	}
 	_, modeName, err := parseMode(req.Mode)
 	if err != nil {
 		return nil, err
 	}
-	res, err := experiment.RunSchedulability(experiment.SchedConfig{
-		Platform:         plat,
-		Dist:             dist,
-		UtilMin:          spec.UtilMin,
-		UtilMax:          spec.UtilMax,
-		UtilStep:         spec.UtilStep,
-		TasksetsPerPoint: spec.TasksetsPerPoint,
-		Seed:             req.Seed,
-		Parallel:         spec.Parallel,
-		Provenance:       prov,
-		Context:          ctx,
-		Span:             sp,
-	})
+	cfg.Provenance, cfg.Context, cfg.Span = prov, ctx, sp
+	res, err := experiment.RunSchedulability(cfg)
 	if err != nil {
 		return nil, err
 	}
 	title := req.Title
 	if title == "" {
-		title = fmt.Sprintf("vc2m-server sweep %s/%s (seed %d)", plat.Name, dist, req.Seed)
+		title = fmt.Sprintf("vc2m-server sweep %s/%s (seed %d)", cfg.Platform.Name, cfg.Dist, req.Seed)
 	}
 	return report.BuildSweep(report.SweepInput{
 		Title:      title,
 		Seed:       req.Seed,
 		Mode:       modeName,
-		Platform:   plat,
+		Platform:   cfg.Platform,
 		Sweep:      res.ReportSweep(),
 		Provenance: prov,
 	}), nil

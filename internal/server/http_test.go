@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,6 +131,20 @@ func TestBadSubmissionsOverHTTP(t *testing.T) {
 	}
 	if _, err := c.Submit(ctx, server.SubmitRequest{}); err == nil {
 		t.Error("empty submission accepted over HTTP")
+	}
+	// A negative taskset count used to pass validation and panic the
+	// worker goroutine, taking the daemon down with it.
+	sweep := server.SubmitRequest{Kind: server.KindSweep,
+		Sweep: &server.SweepSpec{Platform: "A", TasksetsPerPoint: -1}}
+	if _, err := c.Submit(ctx, sweep); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+		t.Errorf("negative tasksets_per_point: got %v, want an HTTP 400", err)
+	}
+	sub, err := c.Submit(ctx, submitReq(1, 0))
+	if err != nil {
+		t.Fatalf("daemon stopped accepting runs: %v", err)
+	}
+	if st, err := c.Wait(ctx, sub.ID); err != nil || st.State != server.StateDone {
+		t.Fatalf("run after the refused submissions: state %q, err %v", st.State, err)
 	}
 }
 

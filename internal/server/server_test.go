@@ -82,8 +82,11 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "Z"}},               // bad platform
 		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A", Dist: "nope"}}, // bad dist
 		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A"}, System: &model.System{}},
-		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A"}, Metrics: true},    // sweeps record no metrics
-		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A"}, SimulateMs: 1100}, // sweeps never simulate
+		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A"}, Metrics: true},            // sweeps record no metrics
+		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A"}, SimulateMs: 1100},         // sweeps never simulate
+		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A", TasksetsPerPoint: -1}},     // used to panic the worker
+		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A", UtilStep: -0.05}},          // negative step
+		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A", UtilMin: 1.5, UtilMax: 1}}, // empty range
 	}
 	for i, req := range cases {
 		if _, err := s.Submit(req); err == nil {
