@@ -76,14 +76,18 @@ race:
 	$(GO) test -race ./...
 
 # Determinism smoke: the same fully seeded simulation run twice must
-# produce byte-identical stdout and byte-identical trace JSONL.
+# produce byte-identical stdout, trace JSONL and Chrome trace, and the
+# Chrome trace must equal vc2m-trace's conversion of the JSONL.
 determinism:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/bin/ ./cmd/vc2m-sim ./cmd/vc2m-trace || exit 1; \
 	flags="-gen-util 1.0 -gen-seed 7 -mode flattening -simulate 2200"; \
-	$(GO) run ./cmd/vc2m-sim $$flags -trace-jsonl $$tmp/a.jsonl > $$tmp/a.out && \
-	$(GO) run ./cmd/vc2m-sim $$flags -trace-jsonl $$tmp/b.jsonl > $$tmp/b.out && \
-	diff $$tmp/a.out $$tmp/b.out && diff $$tmp/a.jsonl $$tmp/b.jsonl && \
-	echo "determinism: two seeded runs byte-identical"
+	$$tmp/bin/vc2m-sim $$flags -trace-jsonl $$tmp/a.jsonl -trace-out $$tmp/a.json > $$tmp/a.out && \
+	$$tmp/bin/vc2m-sim $$flags -trace-jsonl $$tmp/b.jsonl -trace-out $$tmp/b.json > $$tmp/b.out && \
+	diff $$tmp/a.out $$tmp/b.out && diff $$tmp/a.jsonl $$tmp/b.jsonl && diff $$tmp/a.json $$tmp/b.json && \
+	$$tmp/bin/vc2m-trace convert -in $$tmp/a.jsonl -out $$tmp/converted.json >/dev/null && \
+	cmp $$tmp/a.json $$tmp/converted.json && \
+	echo "determinism: two seeded runs byte-identical; -trace-out equals vc2m-trace convert of -trace-jsonl"
 
 # Report smoke: a seeded run must produce a schema-valid report JSON
 # (validated by the Go test), an explainable decision trail, and a fully

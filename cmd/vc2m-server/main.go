@@ -8,7 +8,6 @@
 //
 //	vc2m-server -addr 127.0.0.1:8700
 //	vc2m-server -addr 127.0.0.1:0 -ready-file addr.txt -workers 4
-//	vc2m-server -vm 3 -core 4 -cache 12 -bw 12        # with demo inventory
 //
 // SIGINT/SIGTERM drain gracefully: in-flight runs complete, their
 // reports are retained for late fetches until the listener closes, and
@@ -26,10 +25,8 @@ import (
 	"syscall"
 	"time"
 
-	"vc2m/internal/model"
 	"vc2m/internal/obs"
 	"vc2m/internal/server"
-	"vc2m/internal/workload"
 )
 
 func main() {
@@ -51,15 +48,6 @@ func run(args []string) int {
 	debugRoutes := fs.Bool("debug-routes", false, "serve GET /debug/panic for verifying the recovery middleware")
 	version := fs.Bool("version", false, "print the build identity and exit")
 	logCfg := obs.LogFlags(fs, "info")
-
-	// vcsim-style synthetic inventory: a generated demo system submitted
-	// at startup, so a fresh daemon has browsable state immediately.
-	demoVMs := fs.Int("vm", 0, "demo inventory: VM count (0 disables the demo run)")
-	demoCores := fs.Int("core", 4, "demo inventory: platform cores")
-	demoCache := fs.Int("cache", 12, "demo inventory: cache partitions")
-	demoBW := fs.Int("bw", 12, "demo inventory: memory-bandwidth partitions")
-	demoUtil := fs.Float64("demo-util", 1.0, "demo inventory: taskset reference utilization")
-	demoSeed := fs.Int64("demo-seed", 1, "demo inventory: generation seed")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -83,13 +71,6 @@ func run(args []string) int {
 		DebugRoutes:    *debugRoutes,
 	})
 	srv.Start()
-
-	if *demoVMs > 0 {
-		if err := seedDemo(srv, *demoVMs, *demoCores, *demoCache, *demoBW, *demoUtil, *demoSeed); err != nil {
-			fmt.Fprintln(os.Stderr, "vc2m-server: demo inventory:", err)
-			return 1
-		}
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -139,34 +120,4 @@ func run(args []string) int {
 	}
 	fmt.Println("vc2m-server: drained, exiting")
 	return 0
-}
-
-// seedDemo submits one generated run on a synthetic platform, mirroring
-// vcsim's instant inventory: -vm/-core/-cache/-bw describe the hardware
-// and fleet, and the resulting allocation is immediately listable.
-func seedDemo(srv *server.Server, vms, cores, cache, bw int, util float64, seed int64) error {
-	plat := model.Platform{Name: "synthetic", M: cores, C: cache, B: bw, Cmin: 2, Bmin: 1}
-	if cache < 2*cores {
-		// Tiny platforms cannot give every core the 2-partition minimum;
-		// fall back to 1 so -core 8 -cache 8 still forms a valid demo.
-		plat.Cmin = 1
-	}
-	if err := plat.Validate(); err != nil {
-		return err
-	}
-	run, err := srv.Submit(server.SubmitRequest{
-		Kind:  server.KindRun,
-		Title: fmt.Sprintf("demo inventory (%d VMs on %dx%dc/%db)", vms, cores, cache, bw),
-		Generate: &workload.Config{
-			Platform:      plat,
-			TargetRefUtil: util,
-			NumVMs:        vms,
-		},
-		GenSeed: seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("vc2m-server: demo inventory submitted as %s\n", run.ID())
-	return nil
 }

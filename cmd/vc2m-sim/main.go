@@ -4,9 +4,10 @@
 // allocations are exchanged as JSON, so allocations can be produced once
 // and inspected or replayed later.
 //
-// With -server it submits the run to a vc2m-server daemon instead of
-// executing in-process; the fetched report is byte-identical to the local
-// run with the same seeds.
+// The flags become one server.SubmitRequest. In-process, vc2m-sim runs it
+// through server.ExecuteRun, the recipe vc2m-server's workers run; with
+// -server it submits the request to a vc2m-server daemon instead. Either
+// way the report is byte-identical for the same seeds.
 //
 // Examples:
 //
@@ -24,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -31,24 +33,25 @@ import (
 
 	"vc2m"
 	"vc2m/client"
-	"vc2m/internal/alloc"
 	"vc2m/internal/metrics"
 	"vc2m/internal/model"
 	"vc2m/internal/obs"
 	"vc2m/internal/profutil"
+	"vc2m/internal/provenance"
 	"vc2m/internal/report"
 	"vc2m/internal/server"
 	"vc2m/internal/workload"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
 // run is the defer-safe driver: every exit path unwinds through it, so
-// deferred sink/file closers always execute and no partial output is
-// silently truncated.
-func run(args []string) int {
+// deferred profile and span writers always execute and no partial output
+// is silently truncated. Results print to stdout; progress notes and
+// errors go to os.Stderr.
+func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("vc2m-sim", flag.ContinueOnError)
 	in := fs.String("in", "", "input system JSON file (omit to generate a workload)")
 	genUtil := fs.Float64("gen-util", 1.0, "generated workload's target reference utilization")
@@ -84,7 +87,7 @@ func run(args []string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if err := realMain(ctx, simFlags{
+	if err := realMain(ctx, stdout, simFlags{
 		in: *in, genUtil: *genUtil, genDist: *genDist, genSeed: *genSeed,
 		platform: *platform, dumpSystem: *dumpSystem, mode: *mode, seed: *seed,
 		out: *out, simulate: *simulate, gantt: *gantt,
@@ -128,13 +131,17 @@ type simFlags struct {
 	logCfg      *obs.LogConfig
 }
 
-func realMain(ctx context.Context, f simFlags) error {
+func realMain(ctx context.Context, out io.Writer, f simFlags) error {
 	lg, err := f.logCfg.Build(os.Stderr, obs.GetBuildInfo().LogAttrs()...)
 	if err != nil {
 		return err
 	}
+	req, err := f.request()
+	if err != nil {
+		return err
+	}
 	if f.serverURL != "" {
-		return runViaServer(ctx, f)
+		return runViaServer(ctx, out, f, req)
 	}
 
 	stopProf, err := profutil.Start(f.cpuprofile, f.memprofile)
@@ -164,8 +171,8 @@ func realMain(ctx context.Context, f simFlags) error {
 		rootSpan.End()
 		lg.LogSlow(tr, "vc2m-sim", time.Since(begin), f.slowRun) //vc2m:wallclock slow-run threshold is wall time by design
 		if f.spans {
-			fmt.Println("# wall-clock stage breakdown")
-			_ = tr.WriteBreakdown(os.Stdout)
+			fmt.Fprintln(out, "# wall-clock stage breakdown")
+			_ = tr.WriteBreakdown(out)
 		}
 		if f.spansOut != "" {
 			if werr := writeSpans(f.spansOut, tr); werr != nil {
@@ -174,12 +181,11 @@ func realMain(ctx context.Context, f simFlags) error {
 		}
 	}()
 
-	sys, err := loadOrGenerate(f.in, f.platform, f.genUtil, f.genDist, f.genSeed)
-	if err != nil {
-		return err
-	}
-
 	if f.dumpSystem != "" {
+		sys, err := server.BuildSystem(req)
+		if err != nil {
+			return err
+		}
 		data, err := model.EncodeSystem(sys)
 		if err != nil {
 			return err
@@ -187,99 +193,78 @@ func realMain(ctx context.Context, f simFlags) error {
 		if err := os.WriteFile(f.dumpSystem, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d VMs, %d tasks, reference utilization %.2f)\n",
+		fmt.Fprintf(out, "wrote %s (%d VMs, %d tasks, reference utilization %.2f)\n",
 			f.dumpSystem, len(sys.VMs), len(sys.Tasks()), sys.RefUtil())
 		return nil
 	}
 
-	m, modeName, err := parseMode(f.mode)
-	if err != nil {
+	if err := req.Validate(); err != nil {
 		return err
 	}
-
-	var rec *vc2m.MetricsRecorder
-	if f.showMetrics || f.metricsCSV != "" {
-		rec = vc2m.NewMetrics()
-	}
-	var prov *vc2m.ProvenanceRecorder
+	var prov *provenance.Recorder
 	if f.provenance || f.reportOut != "" {
 		prov = vc2m.NewProvenance()
 	}
-	run := reportRun{path: f.reportOut, mode: modeName, seed: f.genSeed, sys: sys, metrics: rec, prov: prov}
-
-	a, err := vc2m.Allocate(sys, vc2m.Options{Mode: m, Seed: f.seed, Metrics: rec, Provenance: prov, Context: ctx, Span: rootSpan})
+	res, err := server.ExecuteRun(ctx, req, prov, rootSpan)
 	if err != nil {
-		// The rejection is itself a result: persist the decision trail
-		// (with the binding resource) before exiting non-zero.
-		run.rejection = err
-		if werr := run.write(); werr != nil {
-			fmt.Fprintln(os.Stderr, "vc2m-sim: report:", werr)
-		}
 		return err
 	}
-	run.alloc = a
-	fmt.Print(a.Report())
+	if rej := res.Doc.Rejection; rej != nil {
+		// The rejection is itself a result: persist the decision trail
+		// (with the binding resource) before exiting non-zero.
+		if werr := writeReport(f.reportOut, res.Doc); werr != nil {
+			fmt.Fprintln(os.Stderr, "vc2m-sim: report:", werr)
+		}
+		return errors.New(rej.Reason)
+	}
+	fmt.Fprint(out, res.Allocation.Report())
 
 	if f.out != "" {
-		data, err := model.EncodeAllocation(a)
+		data, err := model.EncodeAllocation(res.Allocation)
 		if err != nil {
 			return err
 		}
 		if err := os.WriteFile(f.out, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote allocation to %s\n", f.out)
+		fmt.Fprintf(out, "wrote allocation to %s\n", f.out)
 	}
 
-	if f.simulate > 0 {
-		sink, closeSinks, err := openTraceSinks(f.traceOut, f.traceJSONL)
-		if err != nil {
+	if sim := res.Sim; sim != nil {
+		if err := writeTrace(f.traceOut, sim.Events, vc2m.WriteTraceChrome, "open in ui.perfetto.dev"); err != nil {
 			return err
 		}
-		recordTrace := f.gantt > 0 || f.diagnose || f.reportOut != ""
-		res, err := vc2m.Simulate(a, f.simulate, vc2m.SimOptions{RecordTrace: recordTrace, Trace: sink, Metrics: rec, Span: rootSpan})
-		if cerr := closeSinks(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := writeTrace(f.traceJSONL, sim.Events, vc2m.WriteTraceJSONL, "inspect with vc2m-trace"); err != nil {
 			return err
 		}
-		run.sim = res
-		fmt.Printf("simulated %.0f ms: %d jobs released, %d completed, %d deadline misses\n",
-			f.simulate, res.Released, res.Completed, res.Missed)
+		fmt.Fprintf(out, "simulated %.0f ms: %d jobs released, %d completed, %d deadline misses\n",
+			f.simulate, sim.Released, sim.Completed, sim.Missed)
 		if f.gantt > 0 {
-			fmt.Print(vc2m.RenderGantt(res, 0, f.gantt, 100))
+			fmt.Fprint(out, vc2m.RenderGantt(sim, 0, f.gantt, 100))
 		}
-		if res.Missed > 0 && recordTrace {
-			run.diag = vc2m.DiagnoseMisses(res.Events)
-		}
-		if f.diagnose && run.diag != nil {
-			fmt.Print(run.diag.Render())
-		}
-		if res.Missed > 0 {
-			if werr := run.write(); werr != nil {
+		if sim.Missed > 0 {
+			if f.diagnose {
+				fmt.Fprint(out, vc2m.DiagnoseMisses(sim.Events).Render())
+			}
+			if werr := writeReport(f.reportOut, res.Doc); werr != nil {
 				fmt.Fprintln(os.Stderr, "vc2m-sim: report:", werr)
 			}
-			return fmt.Errorf("allocation declared schedulable but missed deadlines")
+			return errMissed
 		}
 	}
-	if err := run.write(); err != nil {
+	if err := writeReport(f.reportOut, res.Doc); err != nil {
 		return err
 	}
 
-	if f.provenance && prov != nil {
-		fmt.Printf("# %d allocation decision(s)\n", prov.Len())
-		for _, d := range prov.Decisions() {
-			fmt.Println(report.FormatDecision(d))
-		}
+	if f.provenance {
+		printDecisions(out, res.Doc.Decisions)
 	}
-
-	if rec != nil {
-		snap := rec.Snapshot()
-		fmt.Println("# allocator + simulator metrics")
-		fmt.Print(snap.Table())
+	if res.Metrics != nil {
+		snap := res.Metrics.Snapshot()
+		fmt.Fprintln(out, "# allocator + simulator metrics")
+		fmt.Fprint(out, snap.Table())
 		if f.metricsCSV != "" {
-			if err := writeMetricsCSV(f.metricsCSV, snap, modeName); err != nil {
+			if err := writeMetricsCSV(f.metricsCSV, snap, req.Mode); err != nil {
 				return err
 			}
 		}
@@ -287,11 +272,51 @@ func realMain(ctx context.Context, f simFlags) error {
 	return nil
 }
 
-// runViaServer submits the run to a vc2m-server daemon and fetches the
-// report. The request carries the same title, seeds and spec as the
-// in-process path, so the served document is byte-identical to a local
-// run — the report is streamed back verbatim into -report-out.
-func runViaServer(ctx context.Context, f simFlags) error {
+// errMissed is the end-to-end guarantee failing: an allocation the
+// analysis accepted missed deadlines in simulation.
+var errMissed = errors.New("allocation declared schedulable but missed deadlines")
+
+// request turns the flags into the one submission both paths run:
+// in-process through server.ExecuteRun, or on a vc2m-server with -server.
+func (f simFlags) request() (server.SubmitRequest, error) {
+	_, modeName, err := server.ParseMode(f.mode)
+	if err != nil {
+		return server.SubmitRequest{}, err
+	}
+	req := server.SubmitRequest{
+		Kind:       server.KindRun,
+		Title:      fmt.Sprintf("vc2m-sim %s run (seed %d)", modeName, f.genSeed),
+		Mode:       modeName,
+		Seed:       f.seed,
+		GenSeed:    f.genSeed,
+		SimulateMs: f.simulate,
+		Metrics:    f.showMetrics || f.metricsCSV != "",
+	}
+	if f.in != "" {
+		data, err := os.ReadFile(f.in)
+		if err != nil {
+			return server.SubmitRequest{}, err
+		}
+		if req.System, err = model.DecodeSystem(data); err != nil {
+			return server.SubmitRequest{}, err
+		}
+		return req, nil
+	}
+	plat, err := model.PlatformByName(f.platform)
+	if err != nil {
+		return server.SubmitRequest{}, err
+	}
+	dist, err := workload.ParseDistribution(f.genDist)
+	if err != nil {
+		return server.SubmitRequest{}, err
+	}
+	req.Generate = &workload.Config{Platform: plat, TargetRefUtil: f.genUtil, Dist: dist}
+	return req, nil
+}
+
+// runViaServer submits the request to a vc2m-server daemon and fetches
+// the report, which it streams verbatim into -report-out.
+func runViaServer(ctx context.Context, out io.Writer, f simFlags, req server.SubmitRequest) error {
 	localOnly := []struct {
 		name string
 		set  bool
@@ -313,47 +338,13 @@ func runViaServer(ctx context.Context, f simFlags) error {
 			return fmt.Errorf("%s is local-only and cannot be combined with -server", flag.name)
 		}
 	}
-	_, modeName, err := parseMode(f.mode)
-	if err != nil {
-		return err
-	}
-	req := server.SubmitRequest{
-		Kind:       server.KindRun,
-		Title:      fmt.Sprintf("vc2m-sim %s run (seed %d)", modeName, f.genSeed),
-		Mode:       modeName,
-		Seed:       f.seed,
-		GenSeed:    f.genSeed,
-		SimulateMs: f.simulate,
-		Metrics:    f.showMetrics,
-	}
-	if f.in != "" {
-		data, err := os.ReadFile(f.in)
-		if err != nil {
-			return err
-		}
-		sys, err := model.DecodeSystem(data)
-		if err != nil {
-			return err
-		}
-		req.System = sys
-	} else {
-		plat, err := model.PlatformByName(f.platform)
-		if err != nil {
-			return err
-		}
-		dist, err := workload.ParseDistribution(f.genDist)
-		if err != nil {
-			return err
-		}
-		req.Generate = &workload.Config{Platform: plat, TargetRefUtil: f.genUtil, Dist: dist}
-	}
 
 	c := client.New(f.serverURL, nil)
 	sub, err := c.Submit(ctx, req)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("submitted as %s to %s\n", sub.ID, f.serverURL)
+	fmt.Fprintf(out, "submitted as %s to %s\n", sub.ID, f.serverURL)
 	st, err := c.Wait(ctx, sub.ID)
 	if err != nil {
 		return err
@@ -381,94 +372,84 @@ func runViaServer(ctx context.Context, f simFlags) error {
 		return errors.New(doc.Rejection.Reason)
 	}
 	if doc.Allocation != nil {
-		fmt.Printf("allocation: %s, %d cores, schedulable %v\n",
+		fmt.Fprintf(out, "allocation: %s, %d cores, schedulable %v\n",
 			doc.Allocation.Solution, len(doc.Allocation.Cores), doc.Allocation.Schedulable)
 	}
 	if doc.Sim != nil {
-		fmt.Printf("simulated: %d jobs released, %d completed, %d deadline misses\n",
+		fmt.Fprintf(out, "simulated: %d jobs released, %d completed, %d deadline misses\n",
 			doc.Sim.Released, doc.Sim.Completed, doc.Sim.Missed)
 	}
+	if f.diagnose {
+		printMisses(out, doc.Misses)
+	}
 	if f.provenance {
-		fmt.Printf("# %d allocation decision(s)\n", len(doc.Decisions))
-		for _, d := range doc.Decisions {
-			fmt.Println(report.FormatDecision(d))
-		}
+		printDecisions(out, doc.Decisions)
+	}
+	if f.showMetrics {
+		// The served report keeps only the deterministic counters; its
+		// wall-clock timers stay on the server.
+		fmt.Fprintln(out, "# allocator + simulator counters (served report)")
+		fmt.Fprint(out, metrics.Snapshot{Counters: doc.Counters}.Table())
 	}
 	if doc.Sim != nil && doc.Sim.Missed > 0 {
-		return fmt.Errorf("allocation declared schedulable but missed deadlines")
+		return errMissed
 	}
 	return nil
 }
 
-// parseMode maps the -mode flag to the facade mode, returning the
-// normalized name used in reports.
-func parseMode(name string) (vc2m.Mode, string, error) {
-	switch name {
-	case "flattening":
-		return vc2m.Flattening, "flattening", nil
-	case "overheadfree", "overhead-free":
-		return vc2m.OverheadFree, "overheadfree", nil
-	case "existing":
-		return vc2m.ExistingCSA, "existing", nil
+// printDecisions prints the allocator's decision trail (-provenance).
+func printDecisions(out io.Writer, decisions []provenance.Decision) {
+	fmt.Fprintf(out, "# %d allocation decision(s)\n", len(decisions))
+	for _, d := range decisions {
+		fmt.Fprintln(out, report.FormatDecision(d))
 	}
-	return 0, "", fmt.Errorf("unknown mode %q", name)
 }
 
-// reportRun accumulates the sections of the unified run report as the
-// driver progresses, so the document can be written at whichever point the
-// run ends (allocation rejection, deadline misses, or clean completion).
-type reportRun struct {
-	path      string
-	mode      string
-	seed      int64
-	sys       *vc2m.System
-	alloc     *vc2m.Allocation
-	rejection error
-	sim       *vc2m.SimResult
-	diag      *vc2m.MissReport
-	metrics   *vc2m.MetricsRecorder
-	prov      *vc2m.ProvenanceRecorder
+// printMisses prints a served report's per-task miss causes (-diagnose
+// with -server). Like the in-process breakdown, it prints nothing when no
+// deadline was missed.
+func printMisses(out io.Writer, misses []report.MissSummary) {
+	if len(misses) == 0 {
+		return
+	}
+	fmt.Fprintln(out, "# deadline misses by task and cause (served report)")
+	for _, m := range misses {
+		fmt.Fprintf(out, "  %s: %d %s\n", m.Task, m.Count, m.Cause)
+	}
 }
 
-// write builds and saves the report document; a no-op without -report-out.
-func (r *reportRun) write() error {
-	if r.path == "" {
+// writeReport saves the run's report document; a no-op without
+// -report-out.
+func writeReport(path string, doc *report.Document) error {
+	if path == "" {
 		return nil
 	}
-	in := report.RunInput{
-		Title:      fmt.Sprintf("vc2m-sim %s run (seed %d)", r.mode, r.seed),
-		Seed:       r.seed,
-		Mode:       r.mode,
-		Platform:   r.sys.Platform,
-		Allocation: r.alloc,
-		Rejection:  toRejection(r.rejection),
-		Sim:        r.sim,
-		Diagnosis:  r.diag,
-		Metrics:    r.metrics,
-		Provenance: r.prov,
-	}
-	if err := report.Save(r.path, report.BuildRun(in)); err != nil {
+	if err := report.Save(path, doc); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote report to %s (inspect with vc2m-report)\n", r.path)
+	fmt.Fprintf(os.Stderr, "wrote report to %s (inspect with vc2m-report)\n", path)
 	return nil
 }
 
-// toRejection translates an allocator error into the report's rejection
-// section, preserving the binding resource(s) of a RejectionError.
-func toRejection(err error) *report.Rejection {
-	if err == nil {
+// writeTrace writes a recorded event stream to path with one of the
+// batch trace writers; a no-op when path is empty.
+func writeTrace(path string, events []vc2m.TraceEvent, write func(io.Writer, []vc2m.TraceEvent) error, hint string) error {
+	if path == "" {
 		return nil
 	}
-	rej := &report.Rejection{Reason: err.Error(), Violated: []string{"cpu"}}
-	if re, ok := alloc.AsRejection(err); ok {
-		rej.Stage = re.Stage
-		rej.Violated = rej.Violated[:0]
-		for _, r := range re.Violated {
-			rej.Violated = append(rej.Violated, string(r))
-		}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return rej
+	if err := write(f, events); err != nil {
+		_ = f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote trace to %s (%s)\n", path, hint)
+	return nil
 }
 
 // writeSpans exports the wall-clock span trace as Chrome trace-event
@@ -488,48 +469,6 @@ func writeSpans(path string, tr *obs.Trace) error {
 	}
 	fmt.Fprintf(os.Stderr, "wrote spans to %s (open in ui.perfetto.dev)\n", path)
 	return nil
-}
-
-// openTraceSinks builds the flight-recorder sink requested by the
-// -trace-out / -trace-jsonl flags. The returned close function finalizes
-// the output files (the Chrome export in particular is invalid JSON
-// until closed) and must run before the process exits successfully.
-func openTraceSinks(chromePath, jsonlPath string) (vc2m.TraceSink, func() error, error) {
-	var sinks []vc2m.TraceSink
-	var closers []func() error
-	if chromePath != "" {
-		f, err := os.Create(chromePath)
-		if err != nil {
-			return nil, nil, err
-		}
-		cw := vc2m.NewTraceChrome(f)
-		sinks = append(sinks, cw)
-		closers = append(closers, cw.Close, f.Close)
-	}
-	if jsonlPath != "" {
-		f, err := os.Create(jsonlPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		jw := vc2m.NewTraceJSONL(f)
-		sinks = append(sinks, jw)
-		closers = append(closers, jw.Close, f.Close)
-	}
-	closeAll := func() error {
-		for _, c := range closers {
-			if err := c(); err != nil {
-				return err
-			}
-		}
-		if chromePath != "" {
-			fmt.Fprintf(os.Stderr, "wrote trace to %s (open in ui.perfetto.dev)\n", chromePath)
-		}
-		if jsonlPath != "" {
-			fmt.Fprintf(os.Stderr, "wrote trace to %s (inspect with vc2m-trace)\n", jsonlPath)
-		}
-		return nil
-	}
-	return vc2m.MultiTrace(sinks...), closeAll, nil
 }
 
 // writeMetricsCSV dumps the snapshot as (scope, kind, name, value, ...)
@@ -558,24 +497,4 @@ func writeMetricsCSV(path string, snap vc2m.MetricsSnapshot, scope string) error
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	return nil
-}
-
-func loadOrGenerate(in, platform string, util float64, dist string, seed int64) (*vc2m.System, error) {
-	if in != "" {
-		data, err := os.ReadFile(in)
-		if err != nil {
-			return nil, err
-		}
-		return model.DecodeSystem(data)
-	}
-	plat, err := model.PlatformByName(platform)
-	if err != nil {
-		return nil, err
-	}
-	return vc2m.GenerateWorkload(vc2m.WorkloadConfig{
-		Platform:      plat,
-		TargetRefUtil: util,
-		Distribution:  dist,
-		Seed:          seed,
-	})
 }

@@ -1,6 +1,6 @@
 // vc2m-trace works with flight-recorder traces captured from the
-// hypervisor simulator (vc2m-sim -trace-jsonl, or any SimOptions.Trace
-// sink): it converts JSONL captures to Chrome trace-event JSON for
+// hypervisor simulator (vc2m-sim -trace-jsonl, or vc2m.WriteTraceJSONL of
+// a RecordTrace run's events): it converts JSONL captures to Chrome trace-event JSON for
 // ui.perfetto.dev, renders ASCII Gantt charts, explains deadline misses,
 // and summarizes stream contents.
 //
@@ -91,7 +91,7 @@ subcommands:
   stats     summarize the trace's event counts
 
 run 'vc2m-trace <subcommand> -h' for flags. Capture traces with
-'vc2m-sim -trace-jsonl run.jsonl' or a SimOptions.Trace sink.
+'vc2m-sim -trace-jsonl run.jsonl' or vc2m.WriteTraceJSONL.
 Global flags (before the subcommand): -log-level <debug|info|warn|error|off>, -log-json.
 `)
 }

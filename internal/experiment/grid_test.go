@@ -83,12 +83,17 @@ func TestRunSchedulabilityRejectsBadRange(t *testing.T) {
 		{"UtilMax < UtilMin", func(c *SchedConfig) { c.UtilMin, c.UtilMax = 2.0, 1.0 }},
 		{"negative TasksetsPerPoint", func(c *SchedConfig) { c.TasksetsPerPoint = -1 }},
 		{"invalid platform", func(c *SchedConfig) { c.Platform = model.Platform{} }},
+		{"1e13 TasksetsPerPoint", func(c *SchedConfig) { c.TasksetsPerPoint = 1e13 }},
+		{"1e-9 UtilStep", func(c *SchedConfig) { c.UtilMin, c.UtilMax, c.UtilStep = 0.1, 2.0, 1e-9 }},
 	}
 	for _, tc := range cases {
 		name, bad := tc.name, base
 		tc.mutate(&bad)
 		if err := bad.Validate(); err == nil {
+			// Running a sweep Validate wrongly accepted could ask for
+			// gigabytes; the failure is already reported.
 			t.Errorf("%s: Validate accepted %+v", name, bad)
+			continue
 		}
 		func() {
 			defer func() {
@@ -103,6 +108,12 @@ func TestRunSchedulabilityRejectsBadRange(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Errorf("valid sweep refused: %v", err)
+	}
+	// The cap admits a paper-scale sweep at 1000 tasksets per point on
+	// the default grid (vc2m-paper -tasksets 1000: 39,000 tasksets).
+	paper := SchedConfig{Platform: model.PlatformA, TasksetsPerPoint: 1000}
+	if err := paper.Validate(); err != nil {
+		t.Errorf("vc2m-paper -tasksets 1000 refused: %v", err)
 	}
 }
 

@@ -116,9 +116,16 @@ func (c SchedConfig) withDefaults() SchedConfig {
 	return c
 }
 
+// MaxSweepTasksets caps a sweep's size, grid points x TasksetsPerPoint.
+// A sweep's memory grows with both factors, and one far past any real
+// experiment (the paper's default grid at 1000 tasksets per point is
+// 39,000) would otherwise panic in make() or exhaust memory.
+const MaxSweepTasksets = 100_000
+
 // Validate reports whether the sweep, once its zero fields take the
 // paper's defaults, is one RunSchedulability can run: a valid platform, a
-// non-negative step and taskset count, and UtilMax >= UtilMin.
+// non-negative step and taskset count, UtilMax >= UtilMin, and at most
+// MaxSweepTasksets tasksets in all.
 // RunSchedulability runs it first; callers that queue a sweep for later
 // (vc2m-server) run it at submission so a bad sweep is refused up front.
 func (c SchedConfig) Validate() error {
@@ -134,6 +141,13 @@ func (c SchedConfig) Validate() error {
 	}
 	if c.UtilMax < c.UtilMin {
 		return fmt.Errorf("experiment: UtilMax %v below UtilMin %v", c.UtilMax, c.UtilMin)
+	}
+	// Counted in float64 so a tiny step cannot overflow the int that
+	// utilGrid allocates from; the negated comparison also refuses NaN.
+	points := math.Floor((c.UtilMax-c.UtilMin)/c.UtilStep+1e-9) + 1
+	if total := points * float64(c.TasksetsPerPoint); !(total <= MaxSweepTasksets) {
+		return fmt.Errorf("experiment: %.4g grid points x %d tasksets per point exceeds %d tasksets",
+			points, c.TasksetsPerPoint, MaxSweepTasksets)
 	}
 	return nil
 }

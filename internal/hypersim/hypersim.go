@@ -53,8 +53,12 @@ type Config struct {
 	// MeasureOverheads records the wall-clock duration of every scheduler
 	// and regulator handler invocation (the Tables 1-2 instrumentation).
 	MeasureOverheads bool
-	// RecordTrace keeps the per-core execution trace (used by tests that
-	// verify the well-regulated execution pattern).
+	// RecordTrace records the typed flight-recorder event stream — every
+	// job release/completion/miss, VCPU replenishment, context switch,
+	// execution slice, throttle and BW replenishment, stamped with tick
+	// time, core, VCPU and task — into Result.Events, and its
+	// execution-slice projection into Result.Trace. Off, emission costs
+	// one pointer check per site.
 	RecordTrace bool
 	// DesyncTasks gives every task the given release offset while leaving
 	// VCPU releases at zero — deliberately breaking the release
@@ -88,13 +92,6 @@ type Config struct {
 	// events, deadline misses — see the Metric* constants) at the end of
 	// Run. Nil disables recording at no cost.
 	Metrics *metrics.Recorder
-	// Trace, when non-nil, receives the typed flight-recorder event
-	// stream: every job release/completion/miss, VCPU replenishment,
-	// context switch, execution slice, throttle and BW replenishment,
-	// stamped with tick time, core, VCPU and task. Nil disables emission
-	// at no cost (one pointer check per site). RecordTrace composes with
-	// it: the Result.Trace slice view is rebuilt from the same stream.
-	Trace trace.Sink
 	// LinearDispatch selects the reference dispatch implementation: the
 	// scheduler picks the next VCPU and task by scanning the full list
 	// instead of reading the top of the ready heaps. Both implementations
@@ -223,11 +220,9 @@ type Simulator struct {
 	vcpuByID map[string]*vcpuState
 	taskByID map[string]*taskState
 
-	// sink receives the typed event stream (nil when tracing is off);
-	// mem is the internal memory sink backing Result.Trace when
-	// Config.RecordTrace is set, and feeds into sink.
-	sink trace.Sink
-	mem  *trace.Memory
+	// rec records the typed event stream backing Result.Events and
+	// Result.Trace; nil unless Config.RecordTrace is set.
+	rec *trace.Memory
 
 	// overhead samples, keyed like the paper's tables
 	overheads map[string]*stats.Sample
@@ -271,10 +266,8 @@ func New(alloc *model.Allocation, cfg Config) (*Simulator, error) {
 		vcpuByID: make(map[string]*vcpuState),
 		taskByID: make(map[string]*taskState),
 	}
-	s.sink = cfg.Trace
 	if cfg.RecordTrace {
-		s.mem = trace.NewMemory()
-		s.sink = trace.Multi(s.mem, cfg.Trace)
+		s.rec = trace.NewMemory()
 	}
 
 	taskIdx := 0

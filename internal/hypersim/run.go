@@ -76,8 +76,7 @@ type Result struct {
 	Trace []TraceEntry
 	// Events is the full typed flight-recorder stream; only populated
 	// with RecordTrace. Feed it to trace.Diagnose, trace.WriteChrome or
-	// a JSONL writer. Streaming sinks passed via Config.Trace receive
-	// the same events without this retained copy.
+	// trace.WriteJSONL.
 	Events []trace.Event
 }
 
@@ -108,8 +107,8 @@ func (s *Simulator) vcpuRelease(v *vcpuState) {
 		v.replenishments++
 	})
 	s.syncVCPUReady(v, true) // replenishment moves the EDF deadline
-	if s.sink != nil {
-		s.sink.Record(trace.Event{
+	if s.rec != nil {
+		s.rec.Record(trace.Event{
 			Type: trace.EvVCPUReplenish, Time: s.engine.Now(),
 			Core: v.core, VCPU: v.spec.ID,
 			Budget: v.budget, Deadline: v.deadline,
@@ -128,8 +127,8 @@ func (s *Simulator) taskRelease(t *taskState, v *vcpuState) {
 	now := s.engine.Now()
 	if t.active && t.remaining > 0 {
 		t.missed++
-		if s.sink != nil {
-			s.sink.Record(trace.Event{
+		if s.rec != nil {
+			s.rec.Record(trace.Event{
 				Type: trace.EvDeadlineMiss, Time: now,
 				Core: v.core, VCPU: v.spec.ID, Task: t.spec.ID,
 				Deadline: t.deadline, Demand: t.remaining,
@@ -153,8 +152,8 @@ func (s *Simulator) taskRelease(t *taskState, v *vcpuState) {
 	t.active = t.remaining > 0
 	s.syncTaskReady(t, true) // the release moves the job deadline
 	s.syncVCPUReady(v, false)
-	if s.sink != nil {
-		s.sink.Record(trace.Event{
+	if s.rec != nil {
+		s.rec.Record(trace.Event{
 			Type: trace.EvJobRelease, Time: now,
 			Core: v.core, VCPU: v.spec.ID, Task: t.spec.ID,
 			Deadline: t.deadline, Demand: t.wcet, WCET: t.declared,
@@ -162,8 +161,8 @@ func (s *Simulator) taskRelease(t *taskState, v *vcpuState) {
 	}
 	if !t.active {
 		t.completed++ // zero-demand job completes instantly
-		if s.sink != nil {
-			s.sink.Record(trace.Event{
+		if s.rec != nil {
+			s.rec.Record(trace.Event{
 				Type: trace.EvJobComplete, Time: now,
 				Core: v.core, VCPU: v.spec.ID, Task: t.spec.ID,
 				Start: now, Deadline: t.deadline,
@@ -183,7 +182,7 @@ func (s *Simulator) onThrottle(coreID int) {
 		core.throttled = true
 		s.throttleEvents++
 	})
-	if s.sink != nil {
+	if s.rec != nil {
 		ev := trace.Event{
 			Type: trace.EvThrottle, Time: s.engine.Now(), Core: coreID,
 		}
@@ -193,7 +192,7 @@ func (s *Simulator) onThrottle(coreID int) {
 				ev.Task = core.curTask.spec.ID
 			}
 		}
-		s.sink.Record(ev)
+		s.rec.Record(ev)
 	}
 	s.requestReschedule(core)
 }
@@ -204,8 +203,8 @@ func (s *Simulator) onThrottle(coreID int) {
 func (s *Simulator) onBWReplenish(coreID int, wasThrottled bool) {
 	core := s.cores[coreID]
 	core.throttled = false
-	if s.sink != nil {
-		s.sink.Record(trace.Event{
+	if s.rec != nil {
+		s.rec.Record(trace.Event{
 			Type: trace.EvBWReplenish, Time: s.engine.Now(),
 			Core: coreID, Throttled: wasThrottled,
 		})
@@ -262,10 +261,10 @@ func (s *Simulator) Run(horizon timeunit.Ticks) *Result {
 		EngineSteps:      s.engine.Steps(),
 		CoreBusy:         make([]float64, len(s.cores)),
 	}
-	if s.mem != nil {
+	if s.rec != nil {
 		// The slice view consumed by RenderGantt is a projection of the
 		// typed event stream, so both render the same execution.
-		res.Events = s.mem.Events()
+		res.Events = s.rec.Events()
 		res.Trace = SlicesFromEvents(res.Events)
 	}
 	for _, t := range s.tasks {

@@ -239,12 +239,12 @@ func (s *Simulator) charge(core *coreState) {
 	}
 
 	task := core.curTask
-	if s.sink != nil {
+	if s.rec != nil {
 		name := ""
 		if task != nil {
 			name = task.spec.ID
 		}
-		s.sink.Record(trace.Event{
+		s.rec.Record(trace.Event{
 			Type: trace.EvExecSlice, Time: now, Core: core.id,
 			VCPU: v.spec.ID, Task: name,
 			Start: core.runStart, Budget: v.remaining,
@@ -296,8 +296,8 @@ func (s *Simulator) completeTask(task *taskState) {
 		}
 		task.responses.Add(resp.Millis())
 	}
-	if s.sink != nil {
-		s.sink.Record(trace.Event{
+	if s.rec != nil {
+		s.rec.Record(trace.Event{
 			Type: trace.EvJobComplete, Time: now,
 			Core: task.vcpu.core, VCPU: task.vcpu.spec.ID, Task: task.spec.ID,
 			Start: task.deadline - task.period, Deadline: task.deadline,
@@ -350,7 +350,7 @@ func (s *Simulator) doSchedule(core *coreState) {
 			// bookkeeping below is this simulator's equivalent.
 			core.current = next
 		})
-		if s.sink != nil {
+		if s.rec != nil {
 			ev := trace.Event{
 				Type: trace.EvContextSwitch,
 				Time: s.engine.Now(), Core: core.id,
@@ -364,7 +364,7 @@ func (s *Simulator) doSchedule(core *coreState) {
 			if prev != nil {
 				ev.From = prev.spec.ID
 			}
-			s.sink.Record(ev)
+			s.rec.Record(ev)
 		}
 	} else {
 		core.current = next

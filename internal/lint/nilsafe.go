@@ -13,7 +13,7 @@ import (
 //
 //   - Type names a concrete hook type (e.g. metrics.Recorder) checked
 //     directly;
-//   - Interface names an interface (e.g. trace.Sink); every named type
+//   - Interface names an interface (e.g. provenance.Sink); every named type
 //     whose pointer implements it is a hook.
 type HookSpec struct {
 	// Pkg is the import path defining Type or Interface.
@@ -25,15 +25,13 @@ type HookSpec struct {
 }
 
 // DefaultHooks are the repo's registered instrumentation hooks: every
-// trace.Sink and provenance.Sink implementation (including unexported
-// ones like the allocation server's stageSink), the
-// metrics.Recorder, the provenance.Recorder, the shared trace.LineWriter
-// they stream through, and the observability layer's obs.Span and
-// obs.Logger handles. Their documented contract is that a nil receiver is
+// provenance.Sink implementation (including unexported ones like the
+// allocation server's stageSink), the simulator's trace.Memory recorder,
+// the metrics.Recorder, the provenance.Recorder, and the observability
+// layer's obs.Span and obs.Logger handles. Their documented contract is that a nil receiver is
 // the disabled state and every method is a safe no-op on it.
 var DefaultHooks = []HookSpec{
-	{Pkg: "vc2m/internal/trace", Interface: "Sink"},
-	{Pkg: "vc2m/internal/trace", Type: "LineWriter"},
+	{Pkg: "vc2m/internal/trace", Type: "Memory"},
 	{Pkg: "vc2m/internal/metrics", Type: "Recorder"},
 	{Pkg: "vc2m/internal/provenance", Interface: "Sink"},
 	{Pkg: "vc2m/internal/provenance", Type: "Recorder"},
@@ -60,7 +58,7 @@ func NewNilSafe(hooks []HookSpec) *lintkit.Analyzer {
 	a := &lintkit.Analyzer{
 		Name: "nilsafe",
 		Doc: "requires every exported pointer-receiver method on registered hook types " +
-			"(trace.Sink implementations, metrics.Recorder) to begin with a nil-receiver guard",
+			"(provenance.Sink implementations, metrics.Recorder) to begin with a nil-receiver guard",
 	}
 	a.Run = func(pass *lintkit.Pass) { runNilSafe(pass, hooks) }
 	return a

@@ -8,7 +8,7 @@ import (
 )
 
 // TestNilSafeGolden drives the interface-registry path: fixture types
-// implementing the real trace.Sink.
+// implementing the real provenance.Sink.
 func TestNilSafeGolden(t *testing.T) {
 	linttest.RunGolden(t, "testdata/src/nilsafe", lint.NilSafe)
 }

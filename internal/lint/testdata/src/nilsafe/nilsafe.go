@@ -1,23 +1,20 @@
 // Package nilsafefix exercises the nilsafe analyzer's interface-driven
-// registry: types implementing trace.Sink must nil-guard every exported
-// pointer-receiver method.
+// registry: types implementing provenance.Sink must nil-guard every
+// exported pointer-receiver method.
 package nilsafefix
 
-import (
-	"vc2m/internal/provenance"
-	"vc2m/internal/trace"
-)
+import "vc2m/internal/provenance"
 
 // GoodSink guards every exported pointer method.
 type GoodSink struct {
-	events []trace.Event
+	events []provenance.Decision
 }
 
-func (g *GoodSink) Record(ev trace.Event) {
+func (g *GoodSink) Record(d provenance.Decision) {
 	if g == nil {
 		return
 	}
-	g.events = append(g.events, ev)
+	g.events = append(g.events, d)
 }
 
 func (g *GoodSink) Len() int {
@@ -34,15 +31,15 @@ func (g *GoodSink) Enabled() bool { return g != nil }
 func (g *GoodSink) Clear() {}
 
 func (g *GoodSink) grow() { // unexported methods are not part of the contract
-	g.events = append(g.events, trace.Event{})
+	g.events = append(g.events, provenance.Decision{})
 }
 
-// BadSink implements trace.Sink but skips the guards.
+// BadSink implements provenance.Sink but skips the guards.
 type BadSink struct {
 	n int
 }
 
-func (b *BadSink) Record(ev trace.Event) { // want `\(\*BadSink\)\.Record must begin with a nil-receiver guard`
+func (b *BadSink) Record(d provenance.Decision) { // want `\(\*BadSink\)\.Record must begin with a nil-receiver guard`
 	b.n++
 }
 
@@ -55,8 +52,8 @@ type AnonSink struct {
 	n int
 }
 
-func (*AnonSink) Record(ev trace.Event) { // want `\(\*AnonSink\)\.Record has an unnamed receiver`
-	_ = ev
+func (*AnonSink) Record(d provenance.Decision) { // want `\(\*AnonSink\)\.Record has an unnamed receiver`
+	_ = d
 }
 
 // NotASink has unguarded pointer methods but implements no hook
@@ -69,12 +66,12 @@ func (s *NotASink) Bump() {
 	s.n++
 }
 
-// ValueSink implements trace.Sink with a value receiver; value receivers
+// ValueSink implements provenance.Sink with a value receiver; value receivers
 // cannot be nil and are exempt.
 type ValueSink struct{}
 
-func (ValueSink) Record(ev trace.Event) {
-	_ = ev
+func (ValueSink) Record(d provenance.Decision) {
+	_ = d
 }
 
 // provSink mirrors the allocation server's unexported stageSink:

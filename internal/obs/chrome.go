@@ -9,7 +9,7 @@ import (
 
 // chromeSpanEvent is one Chrome trace-event record; field order fixes the
 // output layout, mirroring the flight recorder's exporter
-// (trace.ChromeWriter). Timestamps are microseconds relative to the
+// (trace.WriteChrome). Timestamps are microseconds relative to the
 // trace's earliest span start.
 type chromeSpanEvent struct {
 	Name  string            `json:"name"`

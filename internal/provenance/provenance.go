@@ -18,11 +18,9 @@
 package provenance
 
 import (
-	"io"
 	"sync"
 
 	"vc2m/internal/bitmask"
-	"vc2m/internal/trace"
 )
 
 // Resource identifies one of the three allocated resource dimensions. A
@@ -220,44 +218,4 @@ func (r *Recorder) Reset() {
 	r.mu.Lock()
 	r.decisions = r.decisions[:0]
 	r.mu.Unlock()
-}
-
-// JSONLWriter streams decisions as JSON lines through the shared buffered
-// line writer (trace.LineWriter) — the same first-error-wins, flush-on-
-// Close discipline as the trace JSONL sink.
-type JSONLWriter struct {
-	lw *trace.LineWriter
-}
-
-// NewJSONLWriter wraps w. The caller owns w; call Close to flush before
-// closing the underlying file.
-func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{lw: trace.NewLineWriter(w)}
-}
-
-// Record implements Sink. The first encoding error is retained and
-// reported by Close; subsequent decisions are dropped. A nil writer drops
-// everything.
-func (w *JSONLWriter) Record(d Decision) {
-	if w == nil {
-		return
-	}
-	w.lw.Encode(d)
-}
-
-// Decisions returns the number of decisions written so far (0 on nil).
-func (w *JSONLWriter) Decisions() int {
-	if w == nil {
-		return 0
-	}
-	return w.lw.Count()
-}
-
-// Close flushes buffered output and returns the first error encountered
-// while recording or flushing. It does not close the underlying writer.
-func (w *JSONLWriter) Close() error {
-	if w == nil {
-		return nil
-	}
-	return w.lw.Close()
 }

@@ -5,7 +5,8 @@
 // serves each run's schema-versioned report document and live lifecycle
 // event stream (SSE). cmd/vc2m-server is the daemon; package client is the
 // typed Go client; vc2m-sim and vc2m-paper gain -server modes that submit
-// here instead of running in-process.
+// here instead of running in-process, and in-process vc2m-sim runs the
+// workers' own KindRun recipe, ExecuteRun.
 //
 // Determinism contract: the service adds nothing nondeterministic on top
 // of the facade. Run IDs are counter-based, reports carry no wall-clock
@@ -228,15 +229,16 @@ func (r *SubmitRequest) Validate() error {
 	default:
 		return fmt.Errorf("server: unknown kind %q", r.Kind)
 	}
-	if _, _, err := parseMode(r.Mode); err != nil {
+	if _, _, err := ParseMode(r.Mode); err != nil {
 		return err
 	}
 	return nil
 }
 
-// parseMode maps the wire mode name to the facade mode, normalizing the
-// name the way vc2m-sim's -mode flag does. Empty defaults to flattening.
-func parseMode(name string) (vc2m.Mode, string, error) {
+// ParseMode maps a wire mode name (vc2m-sim's -mode flag takes the same
+// names) to the facade mode and the normalized name reports carry. Empty
+// defaults to flattening.
+func ParseMode(name string) (vc2m.Mode, string, error) {
 	switch name {
 	case "", "flattening":
 		return vc2m.Flattening, "flattening", nil

@@ -16,10 +16,10 @@ import (
 	"vc2m/internal/workload"
 )
 
-// execute runs one registry entry to its terminal state. It mirrors the
-// batch drivers exactly — same facade calls, same report construction —
-// so a server run's document is byte-identical to the same spec executed
-// by vc2m-sim with the same seeds, and a sweep makes the same
+// execute runs one registry entry to its terminal state. A KindRun goes
+// through ExecuteRun, the recipe vc2m-sim also runs in-process, so a
+// server run's document is byte-identical to the same spec executed by
+// vc2m-sim with the same seeds; a sweep makes the same
 // experiment.RunSchedulability call as vc2m-paper. Every run executes
 // under a wall-clock span trace whose stage durations feed the
 // vc2m_stage_latency_seconds histograms and the slow-run log; spans live
@@ -56,7 +56,10 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 	case KindChurn:
 		doc, finalAlloc, err = s.executeChurn(ctx, run, root)
 	default:
-		doc, finalAlloc, err = executeRun(ctx, run.req, run.prov, root)
+		var res *RunResult
+		if res, err = ExecuteRun(ctx, run.req, run.prov, root); err == nil {
+			doc, finalAlloc = res.Doc, res.Allocation
+		}
 	}
 	root.End()
 	elapsed := time.Since(begin) //vc2m:wallclock run latency feeds the slow-run log
@@ -101,22 +104,38 @@ func (s *Server) finishRun(run *Run, state State, doc *report.Document, docJSON 
 	run.finish(s.events.publish(ev))
 }
 
-// executeRun is the KindRun path: allocate one system, optionally
-// simulate, and assemble the report the way cmd/vc2m-sim does. The
-// accepted allocation is returned alongside the document so the registry
-// can retain it for later churn runs (nil on rejection).
-func executeRun(ctx context.Context, req SubmitRequest, prov *provenance.Recorder, sp *obs.Span) (*report.Document, *model.Allocation, error) {
-	sys, err := buildSystem(req)
+// RunResult is what ExecuteRun built: the report document plus the
+// values behind it, for callers that print more than the document.
+type RunResult struct {
+	// Doc is the KindRun report document.
+	Doc *report.Document
+	// Allocation is the accepted allocation; nil when rejected.
+	Allocation *model.Allocation
+	// Sim is the simulation result, its event stream recorded; nil when
+	// rejected or not simulated.
+	Sim *vc2m.SimResult
+	// Metrics is the recorder the run fed; nil unless req.Metrics.
+	Metrics *vc2m.MetricsRecorder
+}
+
+// ExecuteRun is the KindRun recipe: build the system, allocate it,
+// optionally simulate it, and assemble the report. The worker pool runs
+// it for every KindRun, and vc2m-sim runs it in-process, so both produce
+// the same document for the same request. A rejected allocation is a
+// result, not an error: Doc carries the rejection and Allocation is nil.
+// prov and sp may be nil.
+func ExecuteRun(ctx context.Context, req SubmitRequest, prov *provenance.Recorder, sp *obs.Span) (*RunResult, error) {
+	sys, err := BuildSystem(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	mode, modeName, err := parseMode(req.Mode)
+	mode, modeName, err := ParseMode(req.Mode)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var rec *vc2m.MetricsRecorder
+	out := &RunResult{}
 	if req.Metrics {
-		rec = vc2m.NewMetrics()
+		out.Metrics = vc2m.NewMetrics()
 	}
 	title := req.Title
 	if title == "" {
@@ -127,35 +146,37 @@ func executeRun(ctx context.Context, req SubmitRequest, prov *provenance.Recorde
 		Seed:       req.GenSeed,
 		Mode:       modeName,
 		Platform:   sys.Platform,
-		Metrics:    rec,
+		Metrics:    out.Metrics,
 		Provenance: prov,
 	}
 	a, aerr := vc2m.Allocate(sys, vc2m.Options{
-		Mode: mode, Seed: req.Seed, Metrics: rec, Provenance: prov, Context: ctx, Span: sp,
+		Mode: mode, Seed: req.Seed, Metrics: out.Metrics, Provenance: prov, Context: ctx, Span: sp,
 	})
 	if aerr != nil {
 		if ctx.Err() != nil {
-			return nil, nil, aerr
+			return nil, aerr
 		}
 		// The rejection is itself a result: the report carries the
 		// decision trail with the binding resource(s).
 		in.Rejection = toRejection(aerr)
-		return report.BuildRun(in), nil, nil
+		out.Doc = report.BuildRun(in)
+		return out, nil
 	}
-	in.Allocation = a
+	in.Allocation, out.Allocation = a, a
 	if req.SimulateMs > 0 {
 		res, serr := vc2m.Simulate(a, req.SimulateMs, vc2m.SimOptions{
-			RecordTrace: true, Metrics: rec, Span: sp,
+			RecordTrace: true, Metrics: out.Metrics, Span: sp,
 		})
 		if serr != nil {
-			return nil, nil, serr
+			return nil, serr
 		}
-		in.Sim = res
+		in.Sim, out.Sim = res, res
 		if res.Missed > 0 {
 			in.Diagnosis = vc2m.DiagnoseMisses(res.Events)
 		}
 	}
-	return report.BuildRun(in), a, nil
+	out.Doc = report.BuildRun(in)
+	return out, nil
 }
 
 // executeChurn is the KindChurn path: wait for the base run's allocation,
@@ -182,7 +203,7 @@ func (s *Server) executeChurn(ctx context.Context, run *Run, sp *obs.Span) (*rep
 		return nil, nil, fmt.Errorf("server: churn base run %s is %s with no accepted allocation",
 			base.ID(), base.Status().State)
 	}
-	mode, modeName, err := parseMode(req.Mode)
+	mode, modeName, err := ParseMode(req.Mode)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -228,10 +249,11 @@ func (s *Server) executeChurn(ctx context.Context, run *Run, sp *obs.Span) (*rep
 	return doc, cur, nil
 }
 
-// buildSystem materializes the run's taskset: the posted system verbatim,
-// or a workload generated from the posted spec with the request's
-// generation seed — the same call vc2m-sim's loadOrGenerate makes.
-func buildSystem(req SubmitRequest) (*model.System, error) {
+// BuildSystem materializes a run's taskset: the request's system
+// verbatim, or a workload generated from its spec with the request's
+// generation seed. ExecuteRun starts here; vc2m-sim -dump-system stops
+// here.
+func BuildSystem(req SubmitRequest) (*model.System, error) {
 	if req.System != nil {
 		if err := req.System.Validate(); err != nil {
 			return nil, err
@@ -251,7 +273,7 @@ func executeSweep(ctx context.Context, req SubmitRequest, prov *provenance.Recor
 	if err != nil {
 		return nil, err
 	}
-	_, modeName, err := parseMode(req.Mode)
+	_, modeName, err := ParseMode(req.Mode)
 	if err != nil {
 		return nil, err
 	}
@@ -275,9 +297,8 @@ func executeSweep(ctx context.Context, req SubmitRequest, prov *provenance.Recor
 }
 
 // toRejection translates an allocator error into the report's rejection
-// section, preserving the binding resource(s) of a RejectionError — the
-// same translation the batch CLIs perform (package report deliberately
-// does not import alloc).
+// section, preserving the binding resource(s) of a RejectionError
+// (package report deliberately does not import alloc).
 func toRejection(err error) *report.Rejection {
 	rej := &report.Rejection{Reason: err.Error(), Violated: []string{"cpu"}}
 	if re, ok := alloc.AsRejection(err); ok {

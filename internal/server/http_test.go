@@ -132,12 +132,17 @@ func TestBadSubmissionsOverHTTP(t *testing.T) {
 	if _, err := c.Submit(ctx, server.SubmitRequest{}); err == nil {
 		t.Error("empty submission accepted over HTTP")
 	}
-	// A negative taskset count used to pass validation and panic the
-	// worker goroutine, taking the daemon down with it.
-	sweep := server.SubmitRequest{Kind: server.KindSweep,
-		Sweep: &server.SweepSpec{Platform: "A", TasksetsPerPoint: -1}}
-	if _, err := c.Submit(ctx, sweep); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
-		t.Errorf("negative tasksets_per_point: got %v, want an HTTP 400", err)
+	// Each of these sweeps used to pass validation and panic the worker
+	// goroutine in make(), taking the daemon down with it.
+	for _, spec := range []server.SweepSpec{
+		{Platform: "A", TasksetsPerPoint: -1},
+		{Platform: "A", TasksetsPerPoint: 1e13},
+		{Platform: "A", UtilStep: 1e-9},
+	} {
+		sweep := server.SubmitRequest{Kind: server.KindSweep, Sweep: &spec}
+		if _, err := c.Submit(ctx, sweep); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+			t.Errorf("sweep %+v: got %v, want an HTTP 400", spec, err)
+		}
 	}
 	sub, err := c.Submit(ctx, submitReq(1, 0))
 	if err != nil {

@@ -120,8 +120,7 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Registry exposes the run registry (read-mostly; tests and the daemon's
-// inventory seeding use it).
+// Registry exposes the run registry (read-mostly; tests use it).
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Start launches the worker pool. Workers execute runs until Shutdown

@@ -87,6 +87,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A", TasksetsPerPoint: -1}},     // used to panic the worker
 		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A", UtilStep: -0.05}},          // negative step
 		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A", UtilMin: 1.5, UtilMax: 1}}, // empty range
+		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A", TasksetsPerPoint: 1e13}},   // panicked make()
+		{Kind: KindSweep, Sweep: &SweepSpec{Platform: "A", UtilStep: 1e-9}},           // 1.9e9-point grid
 	}
 	for i, req := range cases {
 		if _, err := s.Submit(req); err == nil {

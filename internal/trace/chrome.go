@@ -1,13 +1,15 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 )
 
-// ChromeWriter exports the stream in the Chrome trace-event JSON format,
-// which ui.perfetto.dev and chrome://tracing open directly. The mapping:
+// WriteChrome exports an event stream as a Chrome trace-event JSON
+// document, which ui.perfetto.dev and chrome://tracing open directly. The
+// mapping:
 //
 //   - each core becomes a process (pid = core index, named "core N");
 //   - each (core, VCPU) pair becomes a thread track (named after the
@@ -19,15 +21,33 @@ import (
 //     the throttled core.
 //
 // Other event types carry no visual information beyond the above and are
-// skipped; export them with JSONLWriter when completeness matters. Ticks
+// skipped; export them with WriteJSONL when completeness matters. Ticks
 // are microseconds, which is exactly the "ts"/"dur" unit the format
-// expects, so timestamps pass through unconverted.
-//
-// ChromeWriter streams: events are written as they arrive and only the
-// (core, VCPU) -> tid table is retained, so it handles huge horizons. The
-// JSON object is completed by Close.
-type ChromeWriter struct {
-	w       io.Writer
+// expects, so timestamps pass through unconverted. An empty stream is
+// still a valid, empty trace document.
+func WriteChrome(w io.Writer, events []Event) error {
+	c := &chromeWriter{w: bufio.NewWriter(w), tids: map[chromeKey]int{}}
+	for _, ev := range events {
+		c.record(ev)
+	}
+	if c.err != nil {
+		return c.err
+	}
+	tail := "\n]}\n"
+	if !c.started {
+		tail = `{"displayTimeUnit":"ms","traceEvents":[]}` + "\n"
+	}
+	_, _ = c.w.WriteString(tail)
+	if err := c.w.Flush(); err != nil {
+		return fmt.Errorf("trace: chrome write: %w", err)
+	}
+	return nil
+}
+
+// chromeWriter is WriteChrome's encoder state: the (core, VCPU) -> tid
+// table and the first encoding error.
+type chromeWriter struct {
+	w       *bufio.Writer
 	tids    map[chromeKey]int
 	started bool
 	err     error
@@ -52,17 +72,7 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// NewChromeWriter wraps w. The caller owns w; call Close to complete the
-// JSON document before closing the underlying file.
-func NewChromeWriter(w io.Writer) *ChromeWriter {
-	return &ChromeWriter{w: w, tids: map[chromeKey]int{}}
-}
-
-// Record implements Sink. A nil writer drops everything.
-func (c *ChromeWriter) Record(ev Event) {
-	if c == nil {
-		return
-	}
+func (c *chromeWriter) record(ev Event) {
 	switch ev.Type {
 	case EvExecSlice:
 		name := ev.Task
@@ -96,7 +106,7 @@ func (c *ChromeWriter) Record(ev Event) {
 
 // tid returns the thread id for the (core, vcpu) pair, emitting the
 // process/thread naming metadata on first sight.
-func (c *ChromeWriter) tid(core int, vcpu string) int {
+func (c *chromeWriter) tid(core int, vcpu string) int {
 	if vcpu == "" {
 		vcpu = "(none)"
 	}
@@ -127,7 +137,7 @@ func (c *ChromeWriter) tid(core int, vcpu string) int {
 	return tid
 }
 
-func (c *ChromeWriter) emit(ev chromeEvent) {
+func (c *chromeWriter) emit(ev chromeEvent) {
 	if c.err != nil {
 		return
 	}
@@ -136,51 +146,11 @@ func (c *ChromeWriter) emit(ev chromeEvent) {
 		c.err = fmt.Errorf("trace: chrome encode: %w", err)
 		return
 	}
-	var prefix string
 	if !c.started {
-		prefix = `{"displayTimeUnit":"ms","traceEvents":[` + "\n"
+		_, _ = c.w.WriteString(`{"displayTimeUnit":"ms","traceEvents":[` + "\n")
 		c.started = true
 	} else {
-		prefix = ",\n"
+		_, _ = c.w.WriteString(",\n")
 	}
-	if _, err := io.WriteString(c.w, prefix); err != nil {
-		c.err = fmt.Errorf("trace: chrome write: %w", err)
-		return
-	}
-	if _, err := c.w.Write(data); err != nil {
-		c.err = fmt.Errorf("trace: chrome write: %w", err)
-	}
-}
-
-// Close completes the JSON document and returns the first error seen. It
-// does not close the underlying writer. Closing a writer that recorded no
-// events still produces a valid, empty trace document; closing a nil
-// writer is a no-op.
-func (c *ChromeWriter) Close() error {
-	if c == nil {
-		return nil
-	}
-	if c.err != nil {
-		return c.err
-	}
-	var tail string
-	if !c.started {
-		tail = `{"displayTimeUnit":"ms","traceEvents":[]}` + "\n"
-	} else {
-		tail = "\n]}\n"
-	}
-	if _, err := io.WriteString(c.w, tail); err != nil {
-		c.err = fmt.Errorf("trace: chrome write: %w", err)
-	}
-	return c.err
-}
-
-// WriteChrome exports a complete event slice as a Chrome trace-event JSON
-// document — the one-shot form of ChromeWriter used by the CLI converter.
-func WriteChrome(w io.Writer, events []Event) error {
-	cw := NewChromeWriter(w)
-	for _, ev := range events {
-		cw.Record(ev)
-	}
-	return cw.Close()
+	_, _ = c.w.Write(data) // a bufio.Writer keeps its first write error for Flush
 }

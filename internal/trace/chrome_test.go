@@ -121,11 +121,10 @@ func TestChromeSchema(t *testing.T) {
 	}
 }
 
-// TestChromeEmpty: a writer closed without events still yields a valid,
-// empty document.
+// TestChromeEmpty: an empty stream still yields a valid, empty document.
 func TestChromeEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewChromeWriter(&buf).Close(); err != nil {
+	if err := WriteChrome(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc chromeDoc

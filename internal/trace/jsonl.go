@@ -7,49 +7,24 @@ import (
 	"io"
 )
 
-// JSONLWriter streams events as JSON lines (one object per line). It is
-// the capture format for horizons too large to hold in memory: events are
-// encoded and flushed through the shared LineWriter as they arrive, so
-// memory use is constant in the horizon. ReadJSONL is the inverse.
-type JSONLWriter struct {
-	lw *LineWriter
-}
-
-// NewJSONLWriter wraps w. The caller owns w; call Close to flush before
-// closing the underlying file.
-func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{lw: NewLineWriter(w)}
-}
-
-// Record implements Sink. The first encoding error is retained and
-// reported by Close; subsequent events are dropped. A nil writer drops
-// everything.
-func (w *JSONLWriter) Record(ev Event) {
-	if w == nil {
-		return
+// WriteJSONL writes events as JSON lines, one object per line, through
+// a buffered writer, and returns the first encoding or write error.
+// ReadJSONL is the inverse.
+func WriteJSONL(w io.Writer, events []Event) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, ev := range events {
+		if err := enc.Encode(ev); err != nil {
+			return fmt.Errorf("trace: jsonl encode: %w", err)
+		}
 	}
-	w.lw.Encode(ev)
-}
-
-// Events returns the number of events written so far (0 on nil).
-func (w *JSONLWriter) Events() int {
-	if w == nil {
-		return 0
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("trace: jsonl flush: %w", err)
 	}
-	return w.lw.Count()
+	return nil
 }
 
-// Close flushes buffered output and returns the first error encountered
-// while recording or flushing. It does not close the underlying writer.
-// Closing a nil writer is a no-op.
-func (w *JSONLWriter) Close() error {
-	if w == nil {
-		return nil
-	}
-	return w.lw.Close()
-}
-
-// ReadJSONL decodes a JSON-lines stream written by JSONLWriter. Blank
+// ReadJSONL decodes a JSON-lines stream written by WriteJSONL. Blank
 // lines are skipped; a malformed line aborts with an error naming its
 // line number.
 func ReadJSONL(r io.Reader) ([]Event, error) {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 	"vc2m/internal/timeunit"
 )
 
-// TestJSONLRoundTrip: writer -> reader reproduces the stream exactly,
+// TestJSONLRoundTrip: WriteJSONL -> ReadJSONL reproduces the stream exactly,
 // including every populated field.
 func TestJSONLRoundTrip(t *testing.T) {
 	in := []Event{
@@ -29,15 +30,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 			Deadline: 10000, Demand: timeunit.Ticks(42)},
 	}
 	var buf bytes.Buffer
-	w := NewJSONLWriter(&buf)
-	for _, ev := range in {
-		w.Record(ev)
-	}
-	if err := w.Close(); err != nil {
+	if err := WriteJSONL(&buf, in); err != nil {
 		t.Fatal(err)
-	}
-	if w.Events() != len(in) {
-		t.Errorf("writer counted %d events, want %d", w.Events(), len(in))
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != len(in) {
 		t.Errorf("%d lines written, want %d", lines, len(in))
@@ -99,5 +93,40 @@ func TestReadJSONLSkipsBlanksRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadJSONL(strings.NewReader(`{"type":"bogus","t_ticks":1,"core":0}` + "\n")); err == nil {
 		t.Error("unknown event type accepted")
+	}
+}
+
+// failAfterWriter accepts the first n bytes, then fails every write.
+type failAfterWriter struct {
+	remaining int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failAfterWriter) Write(p []byte) (int, error) {
+	if len(p) > w.remaining {
+		n := w.remaining
+		w.remaining = 0
+		return n, errDiskFull
+	}
+	w.remaining -= len(p)
+	return len(p), nil
+}
+
+// TestWritersReportWriteErrors: both batch writers buffer their output,
+// so a write error may only surface at the final flush; it must still
+// be returned, wrapping the underlying error — a trace file cut short by
+// a full disk never reads as success.
+func TestWritersReportWriteErrors(t *testing.T) {
+	events := goldenEvents()
+	for _, window := range []int{0, 10} {
+		err := WriteJSONL(&failAfterWriter{remaining: window}, events)
+		if !errors.Is(err, errDiskFull) {
+			t.Errorf("WriteJSONL into a writer failing after %d bytes: err = %v, want %v", window, err, errDiskFull)
+		}
+		err = WriteChrome(&failAfterWriter{remaining: window}, events)
+		if !errors.Is(err, errDiskFull) {
+			t.Errorf("WriteChrome into a writer failing after %d bytes: err = %v, want %v", window, err, errDiskFull)
+		}
 	}
 }

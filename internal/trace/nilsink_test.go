@@ -2,41 +2,14 @@ package trace
 
 import "testing"
 
-// The nil-receiver tests below exercise every exported pointer-receiver
-// method on the registered Sink implementations with a nil receiver — the
-// state a sink has when tracing is disabled. They pin the invariant the
-// nilsafe analyzer enforces statically: a nil sink is a valid no-op.
-
+// TestNilMemorySafe exercises every exported method of a nil recorder —
+// the state the simulator holds when tracing is disabled. It pins the
+// invariant the nilsafe analyzer enforces statically: a nil recorder is a
+// valid no-op.
 func TestNilMemorySafe(t *testing.T) {
 	var m *Memory
 	m.Record(Event{Type: EvExecSlice})
-	if got := m.Len(); got != 0 {
-		t.Errorf("nil Memory.Len() = %d, want 0", got)
-	}
-	if m.Dropped() {
-		t.Error("nil Memory.Dropped() = true, want false")
-	}
 	if evs := m.Events(); evs != nil {
 		t.Errorf("nil Memory.Events() = %v, want nil", evs)
-	}
-	m.Reset()
-}
-
-func TestNilJSONLWriterSafe(t *testing.T) {
-	var w *JSONLWriter
-	w.Record(Event{Type: EvExecSlice})
-	if got := w.Events(); got != 0 {
-		t.Errorf("nil JSONLWriter.Events() = %d, want 0", got)
-	}
-	if err := w.Close(); err != nil {
-		t.Errorf("nil JSONLWriter.Close() = %v, want nil", err)
-	}
-}
-
-func TestNilChromeWriterSafe(t *testing.T) {
-	var c *ChromeWriter
-	c.Record(Event{Type: EvExecSlice})
-	if err := c.Close(); err != nil {
-		t.Errorf("nil ChromeWriter.Close() = %v, want nil", err)
 	}
 }

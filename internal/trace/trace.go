@@ -1,22 +1,21 @@
 // Package trace is the flight recorder of the hypervisor simulator: a
 // typed event stream emitted from every scheduler and regulator handler in
-// package hypersim, with pluggable sinks. It turns "the task set missed
-// deadlines" into "core 2 was throttled for 40% of the window in which
-// task t3 missed" — the per-event visibility that analysis frameworks for
-// static-partitioning interference (SP-IMPact, H-MBR) rely on.
+// package hypersim. It turns "the task set missed deadlines" into "core 2
+// was throttled for 40% of the window in which task t3 missed" — the
+// per-event visibility that analysis frameworks for static-partitioning
+// interference (SP-IMPact, H-MBR) rely on.
 //
-// The design mirrors package metrics: a nil Sink costs nothing on hot
-// paths (emission sites guard with a single nil check and never assemble
-// an Event), and the stream is bit-identical across runs with the same
-// seed because the simulator itself is deterministic.
+// The design mirrors package metrics: a nil Memory recorder costs nothing
+// on hot paths (emission sites guard with a single nil check and never
+// assemble an Event), and the stream is bit-identical across runs with
+// the same seed because the simulator itself is deterministic.
 //
-// Three sinks ship with the package:
+// The simulator records into a Memory; a recorded stream is exported
+// after the run by one of two batch writers:
 //
-//   - Memory: an in-memory slice or fixed-capacity ring (the flight
-//     recorder proper — keep the last N events of a huge run);
-//   - JSONLWriter: streaming JSON-lines for horizons too large to hold in
-//     memory, with ReadJSONL as its inverse;
-//   - ChromeWriter: Chrome trace-event JSON (Perfetto-compatible), so any
+//   - WriteJSONL: JSON lines, one event per line, with ReadJSONL as its
+//     inverse;
+//   - WriteChrome: Chrome trace-event JSON (Perfetto-compatible), so any
 //     run opens in ui.perfetto.dev with one thread track per (core, VCPU)
 //     and instant markers for deadline misses and throttles.
 //
@@ -120,10 +119,10 @@ func (t *EventType) UnmarshalJSON(data []byte) error {
 // its type, tick timestamp and core; the remaining fields are populated
 // per type as documented on the Ev* constants. The struct is flat (no
 // pointers beyond the strings, which alias the simulator's interned IDs)
-// so a memory sink stores events without per-event allocation.
+// so the Memory recorder stores events without per-event allocation.
 //
-// The JSON tags are the trace wire schema (JSONL captures replayed by
-// vc2m-trace and streamed by the allocation server). Every tick-valued
+// The JSON tags are the trace wire schema (JSONL captures written by
+// vc2m-sim -trace-jsonl and replayed by vc2m-trace). Every tick-valued
 // field carries an explicit _ticks suffix so readers in other languages
 // cannot mistake simulator ticks (microseconds) for milliseconds; the
 // schema is covered by a byte-identity round-trip test.
@@ -153,129 +152,33 @@ type Event struct {
 	Throttled bool `json:"throttled,omitempty"`
 }
 
-// Sink receives the event stream. Implementations must tolerate events
-// arriving in simulation order (non-decreasing Time) and must not retain
-// the Event beyond Record unless they copy it (the struct is passed by
-// value, so plain appends are safe).
-//
-// A nil Sink is the disabled state: emission sites check for nil before
-// assembling the Event, so tracing off costs one pointer comparison.
-type Sink interface {
-	Record(Event)
-}
-
-// Memory is an in-memory sink: unbounded by default, or a fixed-capacity
-// ring keeping the most recent events when constructed with NewRing — the
-// classic flight-recorder configuration for long runs where only the
-// window around a failure matters.
+// Memory is the simulator's in-memory recorder: it retains the whole
+// stream in emission order. A nil *Memory is the disabled state: the
+// simulator holds a nil recorder when tracing is off and guards each
+// emission site with one pointer check, so no Event is assembled.
 type Memory struct {
 	events []Event
-	cap    int
-	head   int  // ring: index of the oldest event
-	full   bool // ring: wrapped at least once
 }
 
-// NewMemory returns an unbounded in-memory sink.
+// NewMemory returns an empty recorder.
 func NewMemory() *Memory { return &Memory{} }
 
-// NewRing returns a ring sink retaining the most recent capacity events.
-// A non-positive capacity yields an unbounded sink.
-func NewRing(capacity int) *Memory {
-	if capacity <= 0 {
-		return NewMemory()
-	}
-	return &Memory{cap: capacity, events: make([]Event, 0, capacity)}
-}
-
-// Record implements Sink. A nil *Memory drops the event: like every hook
-// in this repository, a nil receiver is the disabled state.
+// Record appends ev. A nil *Memory drops the event: like every hook in
+// this repository, a nil receiver is the disabled state.
 func (m *Memory) Record(ev Event) {
 	if m == nil {
 		return
 	}
-	if m.cap <= 0 {
-		m.events = append(m.events, ev)
-		return
-	}
-	if len(m.events) < m.cap {
-		m.events = append(m.events, ev)
-		return
-	}
-	m.events[m.head] = ev
-	m.head++
-	if m.head == m.cap {
-		m.head = 0
-	}
-	m.full = true
+	m.events = append(m.events, ev)
 }
 
-// Len returns the number of retained events (0 on a nil sink).
-func (m *Memory) Len() int {
-	if m == nil {
-		return 0
-	}
-	return len(m.events)
-}
-
-// Dropped reports whether the ring has discarded events.
-func (m *Memory) Dropped() bool {
-	if m == nil {
-		return false
-	}
-	return m.full
-}
-
-// Events returns the retained events in emission order. The slice is a
-// copy only when the ring has wrapped; callers must not mutate it either
-// way. A nil sink has no events.
+// Events returns the recorded events in emission order. Callers must not
+// mutate the slice. A nil recorder has no events.
 func (m *Memory) Events() []Event {
 	if m == nil {
 		return nil
 	}
-	if !m.full || m.head == 0 {
-		return m.events
-	}
-	out := make([]Event, 0, len(m.events))
-	out = append(out, m.events[m.head:]...)
-	out = append(out, m.events[:m.head]...)
-	return out
-}
-
-// Reset discards everything recorded so far.
-func (m *Memory) Reset() {
-	if m == nil {
-		return
-	}
-	m.events = m.events[:0]
-	m.head = 0
-	m.full = false
-}
-
-// Multi fans one stream out to several sinks, skipping nil entries. It
-// returns nil when no non-nil sink remains, and the sink itself when only
-// one does, so composition never adds an indirection for the common cases.
-func Multi(sinks ...Sink) Sink {
-	var live []Sink
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return multiSink(live)
-}
-
-type multiSink []Sink
-
-func (m multiSink) Record(ev Event) {
-	for _, s := range m {
-		s.Record(ev)
-	}
+	return m.events
 }
 
 // CountByType tallies a stream per event type — the cheap summary used by

@@ -147,51 +147,29 @@ type SpanTrace = obs.Trace
 // Options.Span / SimOptions.Span.
 func NewSpanTrace() *SpanTrace { return obs.NewTrace() }
 
-// Flight-recorder tracing (package internal/trace). A TraceSink receives
-// the simulator's typed event stream: job releases/completions/misses,
-// VCPU replenishments, context switches, execution slices, throttles and
-// BW replenishments, each stamped with tick time, core, VCPU and task.
+// Flight-recorder tracing (package internal/trace). A simulation run
+// with SimOptions.RecordTrace keeps the simulator's typed event stream in
+// SimResult.Events: job releases/completions/misses, VCPU replenishments,
+// context switches, execution slices, throttles and BW replenishments,
+// each stamped with tick time, core, VCPU and task.
 type (
 	// TraceEvent is one flight-recorder record.
 	TraceEvent = trace.Event
-	// TraceSink receives the event stream; nil disables tracing at no
-	// cost. See NewTraceMemory, NewTraceRing, NewTraceJSONL and
-	// NewTraceChrome for the built-in sinks.
-	TraceSink = trace.Sink
-	// TraceMemory is the in-memory sink (unbounded or a ring).
-	TraceMemory = trace.Memory
-	// TraceJSONL streams events as JSON lines.
-	TraceJSONL = trace.JSONLWriter
-	// TraceChrome exports Chrome trace-event JSON (open the file in
-	// ui.perfetto.dev or chrome://tracing).
-	TraceChrome = trace.ChromeWriter
 	// MissReport aggregates per-miss diagnoses; see DiagnoseMisses.
 	MissReport = trace.Report
 )
 
-// NewTraceMemory returns an unbounded in-memory trace sink.
-func NewTraceMemory() *TraceMemory { return trace.NewMemory() }
+// WriteTraceJSONL writes an event stream as JSON lines, one event per
+// line. Read it back with ReadTraceJSONL.
+func WriteTraceJSONL(w io.Writer, events []TraceEvent) error { return trace.WriteJSONL(w, events) }
 
-// NewTraceRing returns an in-memory trace sink retaining only the most
-// recent capacity events — the flight-recorder configuration for long
-// runs where only the window around a failure matters.
-func NewTraceRing(capacity int) *TraceMemory { return trace.NewRing(capacity) }
-
-// NewTraceJSONL returns a streaming JSON-lines trace sink writing to w.
-// Call Close to flush. Read streams back with ReadTraceJSONL.
-func NewTraceJSONL(w io.Writer) *TraceJSONL { return trace.NewJSONLWriter(w) }
-
-// ReadTraceJSONL decodes a JSON-lines stream written by a TraceJSONL.
+// ReadTraceJSONL decodes a JSON-lines stream written by WriteTraceJSONL.
 func ReadTraceJSONL(r io.Reader) ([]TraceEvent, error) { return trace.ReadJSONL(r) }
 
-// NewTraceChrome returns a trace sink exporting Chrome trace-event JSON
-// to w: one thread track per (core, VCPU), instant markers for deadline
-// misses and throttles. Call Close to complete the JSON document, then
-// open the file in ui.perfetto.dev.
-func NewTraceChrome(w io.Writer) *TraceChrome { return trace.NewChromeWriter(w) }
-
-// MultiTrace fans the event stream out to several sinks (nils skipped).
-func MultiTrace(sinks ...TraceSink) TraceSink { return trace.Multi(sinks...) }
+// WriteTraceChrome writes an event stream as Chrome trace-event JSON: one
+// thread track per (core, VCPU), instant markers for deadline misses and
+// throttles. Open the file in ui.perfetto.dev or chrome://tracing.
+func WriteTraceChrome(w io.Writer, events []TraceEvent) error { return trace.WriteChrome(w, events) }
 
 // DiagnoseMisses replays an event stream and attributes every deadline
 // miss to a cause: demand overrun, core throttled by the BW regulator,
@@ -400,14 +378,9 @@ type SimOptions struct {
 	MemRate map[string]float64
 	// RecordTrace keeps the per-core execution trace (SimResult.Trace,
 	// for RenderGantt) and the full typed event stream
-	// (SimResult.Events, for DiagnoseMisses and the exporters) in the
-	// result.
+	// (SimResult.Events, for DiagnoseMisses, WriteTraceJSONL and
+	// WriteTraceChrome) in the result. Off, tracing costs nothing.
 	RecordTrace bool
-	// Trace, when non-nil, receives the typed flight-recorder event
-	// stream as the simulation runs — use a streaming sink (JSONL,
-	// Chrome) for horizons too large to retain via RecordTrace. Nil
-	// disables emission at no cost.
-	Trace TraceSink
 	// Metrics, when non-nil, receives the run's aggregate event counters
 	// (context switches, replenishments, deadline misses, ...).
 	Metrics *MetricsRecorder
@@ -434,7 +407,6 @@ func Simulate(a *Allocation, horizonMs float64, opts SimOptions) (*SimResult, er
 		BWBudgets:   opts.BWBudgets,
 		MemRate:     opts.MemRate,
 		RecordTrace: opts.RecordTrace,
-		Trace:       opts.Trace,
 		Metrics:     opts.Metrics,
 		Span:        opts.Span,
 	}

@@ -293,24 +293,25 @@ func TestReleasePublicAPI(t *testing.T) {
 
 func TestTracePublicAPI(t *testing.T) {
 	// The flight-recorder journey behind `vc2m-sim -trace-out`: simulate
-	// with Chrome and JSONL sinks attached, then check the Chrome export
-	// is well-formed trace-event JSON and the JSONL stream round-trips.
+	// with RecordTrace, write the stream with both batch writers, then
+	// check the Chrome export is well-formed trace-event JSON and the
+	// JSONL stream round-trips.
 	a, err := Allocate(simpleSystem(t), Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var chromeBuf, jsonlBuf bytes.Buffer
-	cw := NewTraceChrome(&chromeBuf)
-	jw := NewTraceJSONL(&jsonlBuf)
-	mem := NewTraceMemory()
-	res, err := Simulate(a, 500, SimOptions{Trace: MultiTrace(cw, jw, mem)})
+	res, err := Simulate(a, 500, SimOptions{RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cw.Close(); err != nil {
+	if len(res.Events) == 0 {
+		t.Fatal("RecordTrace recorded no events")
+	}
+	var chromeBuf, jsonlBuf bytes.Buffer
+	if err := WriteTraceChrome(&chromeBuf, res.Events); err != nil {
 		t.Fatal(err)
 	}
-	if err := jw.Close(); err != nil {
+	if err := WriteTraceJSONL(&jsonlBuf, res.Events); err != nil {
 		t.Fatal(err)
 	}
 
@@ -341,12 +342,12 @@ func TestTracePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != len(mem.Events()) {
-		t.Fatalf("JSONL round-trip lost events: %d vs %d", len(events), len(mem.Events()))
+	if len(events) != len(res.Events) {
+		t.Fatalf("JSONL round-trip lost events: %d vs %d", len(events), len(res.Events))
 	}
 	for i, ev := range events {
-		if ev != mem.Events()[i] {
-			t.Fatalf("JSONL round-trip diverges at %d: %+v vs %+v", i, ev, mem.Events()[i])
+		if ev != res.Events[i] {
+			t.Fatalf("JSONL round-trip diverges at %d: %+v vs %+v", i, ev, res.Events[i])
 		}
 	}
 	if rep := DiagnoseMisses(events); len(rep.Misses) != int(res.Missed) {
