@@ -62,7 +62,7 @@ fuzz-smoke:
 	           internal/timeunit:FuzzMillisConversions internal/timeunit:FuzzTickRoundTrips \
 	           internal/timeunit:FuzzGCDLCM internal/workload:FuzzGenerate \
 	           internal/alloc:FuzzIncrementalChurn internal/obs:FuzzPromParse \
-	           internal/server:FuzzSubmitRequest; do \
+	           internal/server:FuzzSubmitRequest internal/csa:FuzzMinBudgetForDemand; do \
 		pkg=$${tgt%%:*}; fn=$${tgt##*:}; \
 		$(GO) test -run=^$$ -fuzz="^$$fn$$" -fuzztime=300x ./$$pkg || exit 1; \
 	done

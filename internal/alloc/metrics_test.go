@@ -70,6 +70,13 @@ func TestExistingCSACountsAnalysisEffort(t *testing.T) {
 	if existing[csa.MetricMinBudgetIters] == 0 {
 		t.Errorf("existing CSA recorded no bisection iterations")
 	}
+	// The search replays bisection steps against a closed-form threshold
+	// and calls SBF only near it: one SBF call per step would mean the
+	// replay silently fell back to plain bisection.
+	if existing[csa.MetricSBFEvals] >= existing[csa.MetricMinBudgetIters] {
+		t.Errorf("sbf evals %d >= bisection steps %d: the search evaluates SBF at every step",
+			existing[csa.MetricSBFEvals], existing[csa.MetricMinBudgetIters])
+	}
 }
 
 // TestBaselineMetrics checks the baseline solution's counters: it uses the

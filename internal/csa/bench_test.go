@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vc2m/internal/model"
+	"vc2m/internal/workload"
 )
 
 func BenchmarkSBF(b *testing.B) {
@@ -12,14 +13,45 @@ func BenchmarkSBF(b *testing.B) {
 	}
 }
 
+// minBudgetCase is one minimum-budget search input.
+type minBudgetCase struct {
+	pi       float64
+	cps, dem []float64
+}
+
+// serveExistingSearches returns the (c,b) searches of seeded Platform A
+// tasksets at reference utilization 1.2 across two VMs (the serving
+// benchmark's existing-CSA request shape), after a five-checkpoint toy
+// input.
+func serveExistingSearches(b *testing.B) []minBudgetCase {
+	cases := []minBudgetCase{{100, []float64{100, 200, 300, 400, 800}, []float64{10, 30, 45, 70, 150}}}
+	cfg := workload.Config{Platform: model.PlatformA, TargetRefUtil: 1.2, Dist: workload.Uniform, NumVMs: 2}
+	for seed := int64(1); seed <= 8; seed++ {
+		forEachSearch(b, cfg, seed, func(pi float64, cps, dem []float64) {
+			cases = append(cases, minBudgetCase{pi, cps, dem})
+		})
+	}
+	return cases
+}
+
+// BenchmarkMinBudgetForDemand times one minimum-budget search, averaged
+// over serveExistingSearches: /search is MinBudgetForDemand,
+// /bisection-oracle the step-by-step bisection it reproduces.
 func BenchmarkMinBudgetForDemand(b *testing.B) {
-	cps := []float64{100, 200, 300, 400, 800}
-	dem := []float64{10, 30, 45, 70, 150}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := MinBudgetForDemand(100, cps, dem); !ok {
-			b.Fatal("unexpected infeasible")
-		}
+	cases := serveExistingSearches(b)
+	for _, bc := range []struct {
+		name   string
+		search func(pi float64, cps, dem []float64) (float64, bool, int64, int64)
+	}{
+		{"search", minBudgetForDemand},
+		{"bisection-oracle", bisectMinBudget},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c := &cases[i%len(cases)]
+				bc.search(c.pi, c.cps, c.dem)
+			}
+		})
 	}
 }
 

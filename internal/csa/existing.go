@@ -60,10 +60,10 @@ func ExistingVCPUProv(tasks []*model.Task, index int, plat model.Platform, rec *
 // ExistingVCPUObs is ExistingVCPUProv with wall-clock span annotation:
 // when sp is non-nil (an open csa.derive span owned by the caller), the
 // derivation's cost drivers — candidate (c,b) count, dbf checkpoint
-// evaluations, bisection iterations — are attached as span attributes, so
-// a span export explains why this stage dominates the existing CSA's
-// running time (Figure 4). A nil sp costs nothing; the derivation itself
-// is unaffected either way.
+// evaluations, SBF calls, replayed bisection steps — are attached as span
+// attributes, so a span export explains why this stage dominates the
+// existing CSA's running time (Figure 4). A nil sp costs nothing; the
+// derivation itself is unaffected either way.
 func ExistingVCPUObs(tasks []*model.Task, index int, plat model.Platform, rec *metrics.Recorder, prov *provenance.Recorder, sp *obs.Span) (*model.VCPU, bool, error) {
 	if len(tasks) == 0 {
 		return nil, false, errors.New("csa: ExistingVCPU with no tasks")

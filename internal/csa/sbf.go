@@ -31,14 +31,20 @@ const (
 	// MetricDBFEvals counts demand-bound evaluations, one per (checkpoint,
 	// WCET-vector) pair.
 	MetricDBFEvals = "csa.dbf.checkpoint_evals"
-	// MetricSBFEvals counts supply-bound evaluations performed by the
-	// minimum-budget search.
+	// MetricSBFEvals counts real SBF calls made by the minimum-budget
+	// search: bisection steps too close to the closed-form threshold to
+	// decide without SBF, the dedicated-core check of a bisection that
+	// never lowered its upper end, and the final verification of the
+	// returned budget at every checkpoint with positive demand.
 	MetricSBFEvals = "csa.sbf.evals"
 	// MetricMinBudgetCalls counts minimum-budget searches (one per (c,b)
 	// allocation of every existing-CSA VCPU).
 	MetricMinBudgetCalls = "csa.minbudget.calls"
-	// MetricMinBudgetIters counts bisection iterations across all
-	// minimum-budget searches.
+	// MetricMinBudgetIters counts replayed bisection decision steps
+	// across all minimum-budget searches. A checkpoint the running
+	// maximum already meets is skipped and contributes none; each step of
+	// the others counts once, whether SBF decided it or the closed-form
+	// threshold did.
 	MetricMinBudgetIters = "csa.minbudget.bisect_iters"
 	// MetricExistingVCPUs counts VCPUs parameterized with the existing CSA.
 	MetricExistingVCPUs = "csa.existing.vcpus"
@@ -85,9 +91,9 @@ func LinearSBF(pi, theta, t float64) float64 {
 	return v
 }
 
-// budgetEps is the absolute tolerance (in ms) for the bisection search in
-// MinBudgetForDemand. One nanosecond of budget is far below scheduler
-// resolution.
+// budgetEps is the absolute tolerance (in ms) of the minimum-budget
+// search in MinBudgetForDemand. One nanosecond of budget is far below
+// scheduler resolution.
 const budgetEps = 1e-6
 
 // MinBudgetForDemand returns the minimum budget theta such that the
@@ -97,8 +103,15 @@ const budgetEps = 1e-6
 // overloads a dedicated core). Checkpoints with zero demand are skipped.
 //
 // SBF is non-decreasing in theta for fixed t, so the minimum budget for
-// each checkpoint is found by bisection and the overall minimum is the
-// maximum over checkpoints.
+// each checkpoint is the end point of a bisection over [0, pi] to within
+// budgetEps/4, and the overall minimum is the maximum over checkpoints.
+// The bisection is not run step by step against SBF: each checkpoint's
+// threshold is located by inverting SBF in closed form (sbfInverse), a
+// checkpoint the running maximum already clears is skipped, and the
+// bisection's midpoints are replayed against the threshold, with SBF
+// evaluated only for a midpoint too close to it to decide in floating
+// point. The result is the same float64 the step-by-step bisection
+// returns.
 func MinBudgetForDemand(pi float64, checkpoints, demands []float64) (float64, bool) {
 	theta, ok, _, _ := minBudgetForDemand(pi, checkpoints, demands)
 	return theta, ok
@@ -106,7 +119,7 @@ func MinBudgetForDemand(pi float64, checkpoints, demands []float64) (float64, bo
 
 // MinBudgetForDemandMetered is MinBudgetForDemand with search-effort
 // accounting: it additionally records the number of sbf evaluations and
-// bisection iterations on rec (nil-safe).
+// replayed bisection steps on rec (nil-safe).
 func MinBudgetForDemandMetered(pi float64, checkpoints, demands []float64, rec *metrics.Recorder) (float64, bool) {
 	theta, ok, sbfEvals, iters := minBudgetForDemand(pi, checkpoints, demands)
 	if rec != nil {
@@ -118,8 +131,25 @@ func MinBudgetForDemandMetered(pi float64, checkpoints, demands []float64, rec *
 }
 
 // minBudgetForDemand is the shared implementation; it tallies its sbf
-// evaluations and bisection iterations in plain locals so the disabled-
-// metrics path pays nothing beyond two integer increments.
+// evaluations and replayed bisection steps in plain locals so the
+// disabled-metrics path pays nothing beyond integer increments.
+//
+// Each checkpoint's bisection keeps lo unmet and hi met, halving [0, pi]
+// at mid = (lo+hi)/2 until hi-lo <= budgetEps/4 (at most 64 steps). Its
+// midpoints are rounded floats, not multiples of pi/2^n, so the end point
+// cannot be computed directly; the steps are replayed instead, and only
+// the decision "SBF(pi, mid, t) >= d" is taken from the closed-form
+// threshold. Two consequences keep the result exact:
+//
+//   - A checkpoint whose threshold lies below the running maximum by more
+//     than the rounding band cannot raise it. Every bisection walks the
+//     same tree of midpoints with the same stop rule, and the running
+//     maximum is an end point in that tree, so this checkpoint's bisection
+//     would reach it as a midpoint or an end, find it met, and end at or
+//     below it.
+//   - A bisection whose hi moved was met at hi, so its final "supply at
+//     hi" check cannot fail; only a bisection that never moved hi checks
+//     the dedicated-core supply SBF(pi, pi, t).
 func minBudgetForDemand(pi float64, checkpoints, demands []float64) (theta float64, ok bool, sbfEvals, iters int64) {
 	if pi <= 0 {
 		return 0, false, 0, 0
@@ -134,20 +164,36 @@ func minBudgetForDemand(pi float64, checkpoints, demands []float64) (theta float
 		if d > t+1e-9 {
 			return 0, false, sbfEvals, iters
 		}
-		lo, hi := 0.0, pi
+		star, band := sbfInverse(pi, t, d)
+		below, above := star-band, star+band
+		if need > above {
+			continue // met by the running maximum
+		}
+		lo, hi, moved := 0.0, pi, false
 		for iter := 0; iter < 64 && hi-lo > budgetEps/4; iter++ {
 			iters++
-			sbfEvals++
 			mid := (lo + hi) / 2
-			if SBF(pi, mid, t) >= d {
-				hi = mid
+			var met bool
+			switch {
+			case mid > above:
+				met = true
+			case mid < below:
+				met = false
+			default: // inside the band, or no threshold (NaN)
+				sbfEvals++
+				met = SBF(pi, mid, t) >= d
+			}
+			if met {
+				hi, moved = mid, true
 			} else {
 				lo = mid
 			}
 		}
-		sbfEvals++
-		if SBF(pi, hi, t) < d-1e-9 {
-			return 0, false, sbfEvals, iters
+		if !moved {
+			sbfEvals++
+			if SBF(pi, hi, t) < d-1e-9 {
+				return 0, false, sbfEvals, iters
+			}
 		}
 		if hi > need {
 			need = hi
@@ -165,4 +211,57 @@ func minBudgetForDemand(pi float64, checkpoints, demands []float64) (theta float
 		}
 	}
 	return need, true, sbfEvals, iters
+}
+
+// sbfInverse returns star, the least budget theta with SBF(pi, theta, t)
+// = d in exact arithmetic, and a band half-width around it: for every
+// theta in [0, pi] above star+band the floating-point SBF(pi, theta, t)
+// is >= d, and for every theta below star-band it is < d. Where that
+// guarantee is not established (t <= 0, d <= band, NaN or extreme
+// magnitudes) star is NaN and band is +Inf, which makes the
+// caller evaluate SBF at every step.
+//
+// For fixed t, with n = floor(t/pi) and r = t - n*pi, SBF is continuous,
+// piecewise linear and non-decreasing in theta. On [0, pi] only the
+// periods k in {n-1, n} are reachable, giving four pieces:
+//
+//	[0, (pi-r)/2]         (n-1)*theta
+//	[(pi-r)/2, pi-r]      (n+1)*theta - (pi-r)
+//	[pi-r, pi-r/2]        n*theta
+//	[pi-r/2, pi]          (n+2)*theta - (2*pi-r)      reaching t at pi
+//
+// (for n = 0 the first three are 0). Wherever SBF is positive its slope
+// is at least 1, so a supply error e moves the threshold by at most e.
+// The floating-point SBF is within 2^-49*(t+pi) of the exact one, and star
+// is computed to within a few 2^-53*(t+pi); band = 2^-44*(t+pi) leaves a
+// margin of 32. When d > t the last piece is extrapolated past pi, so a
+// demand that a dedicated core misses by less than the band is still
+// decided by SBF itself.
+func sbfInverse(pi, t, d float64) (star, band float64) {
+	s := t + pi
+	band = 0x1p-44 * s
+	if !(t > 0) || !(s >= 0x1p-600 && s <= 0x1p600) || !(d > band) {
+		return math.NaN(), math.Inf(1)
+	}
+	n := math.Floor(t / pi)
+	r := t - n*pi
+	if r < 0 {
+		n, r = n-1, r+pi
+	} else if r >= pi {
+		n, r = n+1, r-pi
+	}
+	if !(r >= 0 && r < pi) {
+		return math.NaN(), math.Inf(1)
+	}
+	switch {
+	case n >= 2 && d <= (n-1)*(pi-r)/2:
+		star = d / (n - 1)
+	case d <= n*(pi-r):
+		star = (d + pi - r) / (n + 1)
+	case d <= n*(pi-r/2):
+		star = d / n
+	default:
+		star = (d + 2*pi - r) / (n + 2)
+	}
+	return star, band
 }

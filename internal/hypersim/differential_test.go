@@ -2,6 +2,7 @@ package hypersim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"vc2m/internal/alloc"
@@ -18,8 +19,14 @@ import (
 // budgets up, so it can only be easier than the analysis assumed — a miss
 // is therefore always an analysis or simulator bug, never noise.
 //
-// Both CSA variants the paper's heuristic uses are exercised: the
-// flattening analysis and the existing (overhead-aware) CSA.
+// The table covers all three CSA variants the paper's heuristic uses (the
+// flattening analysis, the existing CSA, and the overhead-free analysis
+// of Theorem 2) on Platforms A, B and C under the uniform, bimodal-light
+// and bimodal-heavy distributions. Utilizations run from 0.6 to 1.95, past
+// the point where the existing CSA starts rejecting (Figs. 2-3); every
+// cell must still find a third of its seeds schedulable, or the oracle
+// has no power there. The generator's harmonic periods are Theorem 2's
+// hypothesis, so no case is excluded.
 func TestAnalysisImpliesZeroMisses(t *testing.T) {
 	modes := []struct {
 		name string
@@ -27,56 +34,74 @@ func TestAnalysisImpliesZeroMisses(t *testing.T) {
 	}{
 		{"flattening", alloc.Flattening},
 		{"existing-csa", alloc.ExistingCSA},
+		{"overhead-free", alloc.OverheadFree},
 	}
-	const seeds = 50
+	platforms := []model.Platform{model.PlatformA, model.PlatformB, model.PlatformC}
+	dists := []workload.Distribution{workload.Uniform, workload.BimodalLight, workload.BimodalHeavy}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			h := &alloc.Heuristic{Mode: m.mode}
-			schedulable := 0
-			for seed := int64(0); seed < seeds; seed++ {
-				sys, err := workload.Generate(workload.Config{
-					Platform:      model.PlatformA,
-					TargetRefUtil: 0.6 + 0.1*float64(seed%6),
-					Dist:          workload.Uniform,
-				}, rngutil.New(7000+seed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				a, err := h.Allocate(sys, rngutil.New(seed))
-				if errors.Is(err, model.ErrNotSchedulable) {
-					continue
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				schedulable++
-
-				// Harmonic ladder: the hyperperiod is the maximum period.
-				var hyper float64
-				for _, vm := range sys.VMs {
-					for _, task := range vm.Tasks {
-						if task.Period > hyper {
-							hyper = task.Period
-						}
-					}
-				}
-				s, err := New(a, Config{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res := s.Run(2 * timeunit.FromMillis(hyper))
-				if res.Missed != 0 {
-					t.Errorf("seed %d: analysis (%s) schedulable but simulation missed %d deadlines (%d released)",
-						seed, m.name, res.Missed, res.Released)
-				}
-				if res.Released == 0 {
-					t.Errorf("seed %d: no jobs released over two hyperperiods", seed)
+			for _, plat := range platforms {
+				for _, dist := range dists {
+					t.Run(fmt.Sprintf("%s/%s", plat.Name, dist), func(t *testing.T) {
+						zeroMissCell(t, m.name, m.mode, plat, dist)
+					})
 				}
 			}
-			if schedulable < seeds/3 {
-				t.Fatalf("only %d of %d seeds schedulable; oracle has no power", schedulable, seeds)
-			}
-			t.Logf("%s: %d of %d seeds schedulable, all miss-free", m.name, schedulable, seeds)
 		})
 	}
+}
+
+// zeroMissCell runs one table cell of TestAnalysisImpliesZeroMisses:
+// 56 workloads, two at each utilization 0.6, 0.65, ..., 1.95, each
+// allocated by the heuristic in mode and, when accepted, simulated for
+// two hyperperiods.
+func zeroMissCell(t *testing.T, name string, mode alloc.CSAMode, plat model.Platform, dist workload.Distribution) {
+	const seeds = 56
+	h := &alloc.Heuristic{Mode: mode}
+	schedulable := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		util := 0.6 + 0.05*float64(seed%28)
+		sys, err := workload.Generate(workload.Config{
+			Platform:      plat,
+			TargetRefUtil: util,
+			Dist:          dist,
+		}, rngutil.New(7000+seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := h.Allocate(sys, rngutil.New(seed))
+		if errors.Is(err, model.ErrNotSchedulable) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		schedulable++
+
+		// Harmonic ladder: the hyperperiod is the maximum period.
+		var hyper float64
+		for _, vm := range sys.VMs {
+			for _, task := range vm.Tasks {
+				if task.Period > hyper {
+					hyper = task.Period
+				}
+			}
+		}
+		s, err := New(a, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := s.Run(2 * timeunit.FromMillis(hyper))
+		if res.Missed != 0 {
+			t.Errorf("seed %d (util %.2f): analysis (%s) schedulable but simulation missed %d deadlines (%d released)",
+				seed, util, name, res.Missed, res.Released)
+		}
+		if res.Released == 0 {
+			t.Errorf("seed %d: no jobs released over two hyperperiods", seed)
+		}
+	}
+	if schedulable < seeds/3 {
+		t.Fatalf("only %d of %d seeds schedulable; oracle has no power", schedulable, seeds)
+	}
+	t.Logf("%d of %d seeds schedulable, all miss-free", schedulable, seeds)
 }
